@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke experiments
+.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke bench-serve experiments
 
 verify: fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke
 	@echo "verify: all gates passed"
@@ -82,6 +82,14 @@ obs-smoke:
 # the Prometheus exposition (strictly validated) carries the new families.
 flight-smoke:
 	$(CARGO) run --release -p pim-serve --bin flight_smoke
+
+# Serving hot-path timing: one traced perfbench `serve_closed` run, reduced
+# to the edge round trips (`serve.*`) and the dispatcher's service time.
+# Not part of `verify`: it measures host time, which varies by machine.
+bench-serve:
+	mkdir -p target
+	$(CARGO) run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload serve_closed --seed 1 --seconds 10 --trace 1 > target/bench_serve.txt
+	grep -E '^metric (serve\.|runtime\.service_ms)' target/bench_serve.txt
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

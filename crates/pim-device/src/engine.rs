@@ -244,6 +244,32 @@ struct VpcCost {
     counters: OpCounters,
 }
 
+/// The attribution path strings of one run, each built on its first use.
+/// A run records one sample per VPC but touches only a few lanes and
+/// subarrays, so this keeps the probe path from formatting a fresh string
+/// per sample. Nothing is built while the probe is off.
+#[derive(Debug, Default)]
+pub(crate) struct ProbePaths {
+    lanes: HashMap<usize, String>,
+    subarrays: HashMap<u32, String>,
+}
+
+impl ProbePaths {
+    /// `bus/lane[{lane}]`.
+    pub(crate) fn lane(&mut self, lane: usize) -> &str {
+        self.lanes
+            .entry(lane)
+            .or_insert_with(|| format!("bus/lane[{lane}]"))
+    }
+
+    /// `device/subarray[{home}]`.
+    pub(crate) fn subarray(&mut self, home: u32) -> &str {
+        self.subarrays
+            .entry(home)
+            .or_insert_with(|| format!("device/subarray[{home}]"))
+    }
+}
+
 /// The analytic engine (see module docs).
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -462,6 +488,7 @@ impl Engine {
         let mut serial_total = 0.0f64; // Base/Distribute running total
         let mut tran_clock = 0.0f64; // Unblock transfer-phase span clock
         let mut vpc_count = 0u64;
+        let mut paths = ProbePaths::default();
 
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
             let repeat = round.repeat.max(1) as f64;
@@ -490,7 +517,7 @@ impl Engine {
                             let mut ops = OpCounters::default();
                             scale_counters(&mut ops, cost.counters, round.repeat);
                             probe.record(
-                                &format!("bus/lane[{lane}]"),
+                                paths.lane(lane),
                                 ProbeSample {
                                     ops,
                                     energy: cost.energy * repeat,
@@ -532,7 +559,7 @@ impl Engine {
                     let mut ops = OpCounters::default();
                     scale_counters(&mut ops, cost.counters, round.repeat);
                     probe.record(
-                        &format!("device/subarray[{home}]"),
+                        paths.subarray(home),
                         ProbeSample {
                             ops,
                             energy: cost.energy * repeat,
@@ -1161,6 +1188,88 @@ mod tests {
                 "bit-identical totals ({opt:?})"
             );
         }
+    }
+
+    /// Every node of an attribution tree, floats as raw bits.
+    fn tree_bits(tree: &pim_profile::AttributionTree) -> Vec<(String, OpCounters, [u64; 6], u64)> {
+        let total = std::iter::once(("<total>", tree.total()));
+        total
+            .chain(tree.iter())
+            .map(|(path, n)| {
+                let e = &n.energy;
+                let floats = [
+                    e.read_pj,
+                    e.write_pj,
+                    e.shift_pj,
+                    e.compute_pj,
+                    e.other_pj,
+                    n.busy_ns,
+                ];
+                (path.to_string(), n.ops, floats.map(f64::to_bits), n.records)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repriced_attribution_is_bit_identical_to_cold_instrumented_run() {
+        use pim_profile::AttributionProbe;
+        for opt in [OptLevel::Base, OptLevel::Distribute, OptLevel::Unblock] {
+            let cfg = StreamPimConfig::paper_default().with_opt(opt);
+            let engine = Engine::new(&cfg);
+            let mut table = PriceTable::new();
+            // Warm the table on the shape and on a near miss of it.
+            let s = schedule(6, 48, 1100);
+            engine.run_repriced(&schedule(6, 48, 700), &NullSink, &NullProbe, &mut table);
+            engine.run_repriced(&s, &NullSink, &NullProbe, &mut table);
+
+            let cold = AttributionProbe::new();
+            let cold_report = engine.run_instrumented(&s, &NullSink, &cold);
+            let warm = AttributionProbe::new();
+            let (warm_report, fresh) = engine.run_repriced(&s, &NullSink, &warm, &mut table);
+            assert_eq!(fresh, 0, "warm table replays every row ({opt:?})");
+            assert_eq!(cold_report, warm_report, "{opt:?}");
+
+            let (cold, warm) = (cold.into_tree(), warm.into_tree());
+            assert_eq!(tree_bits(&cold), tree_bits(&warm), "{opt:?}");
+        }
+    }
+
+    #[test]
+    fn attribution_paths_name_each_vpc_lane_and_home() {
+        use pim_profile::AttributionProbe;
+        let cfg = StreamPimConfig::paper_default();
+        let engine = Engine::new(&cfg);
+        let s = schedule(6, 48, 1100);
+        // Samples per path, built from the schedule alone.
+        let mut want: std::collections::BTreeMap<String, u64> = Default::default();
+        for round in &s.rounds {
+            for t in round.broadcasts.iter().chain(&round.collects) {
+                if let Vpc::Tran { dst, .. } = *t {
+                    let lane = dst as u64 % engine.tran_lanes;
+                    *want.entry(format!("bus/lane[{lane}]")).or_default() += 1;
+                }
+            }
+            for c in &round.computes {
+                let home = c.home_subarray().unwrap_or(0);
+                *want.entry(format!("device/subarray[{home}]")).or_default() += 1;
+            }
+        }
+        assert!(want.len() > 40, "the schedule spreads over many paths");
+        let records =
+            |tree: pim_profile::AttributionTree| -> std::collections::BTreeMap<String, u64> {
+                tree.iter()
+                    .filter(|(path, _)| *path != "device/controller")
+                    .map(|(path, n)| (path.to_string(), n.records))
+                    .collect()
+            };
+
+        let analytic = AttributionProbe::new();
+        engine.run_instrumented(&s, &NullSink, &analytic);
+        assert_eq!(records(analytic.into_tree()), want, "analytic engine");
+
+        let event = AttributionProbe::new();
+        crate::engine_event::EventEngine::new(&cfg).run_profiled(&s, &event);
+        assert_eq!(records(event.into_tree()), want, "event engine");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! analytic engine that has no operational counterpart by construction.
 
 use crate::device::{OptLevel, StreamPimConfig};
-use crate::engine::Engine;
+use crate::engine::{Engine, ProbePaths};
 use crate::schedule::Schedule;
 use crate::vpc::Vpc;
 use pim_trace::{Span, TraceSink, Track};
@@ -155,19 +155,16 @@ impl EventEngine {
         let (makespan, intervals) = self.run(schedule);
         if probe.enabled() {
             let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
+            let mut paths = ProbePaths::default();
             for sv in &intervals {
                 let ops = self.analytic.vpc_counters(&sv.vpc);
                 let busy = sv.end_ns - sv.start_ns;
                 let path = match sv.vpc {
-                    Vpc::Tran { dst, .. } => {
-                        format!("bus/lane[{}]", dst as usize % self.tran_lanes)
-                    }
-                    compute => {
-                        format!("device/subarray[{}]", compute.home_subarray().unwrap_or(0))
-                    }
+                    Vpc::Tran { dst, .. } => paths.lane(dst as usize % self.tran_lanes),
+                    compute => paths.subarray(compute.home_subarray().unwrap_or(0)),
                 };
                 probe.record(
-                    &path,
+                    path,
                     rm_core::ProbeSample {
                         ops,
                         energy: rm_core::EnergyBreakdown::default(),

@@ -222,7 +222,8 @@ pub struct FlightCounters {
     /// Bytes currently resident in the ring.
     pub ring_bytes: u64,
     /// Host nanoseconds spent inside the recorder's completion hook
-    /// (retention decision + serialization), cumulative.
+    /// (retention decision + serialization), cumulative. The tap's cost
+    /// while the job runs is not included.
     pub overhead_ns: u64,
 }
 

@@ -294,7 +294,8 @@ fn build_record(
                 .map(PhaseSpan::from_span)
                 .collect(),
             tap.collector.dropped_records(),
-            Profile::from_tree(&obs.request_id, &tap.probe.snapshot()),
+            tap.probe
+                .with_tree(|tree| Profile::from_tree(&obs.request_id, tree)),
         ),
         None => (
             Vec::new(),

@@ -29,6 +29,16 @@ impl AttributionProbe {
         self.tree.lock().unwrap().clone()
     }
 
+    /// Runs `f` on the accumulated tree in place, without copying it.
+    /// Recording blocks while `f` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a recording thread panicked while holding the lock.
+    pub fn with_tree<R>(&self, f: impl FnOnce(&AttributionTree) -> R) -> R {
+        f(&self.tree.lock().unwrap())
+    }
+
     /// Consumes the probe, returning the accumulated tree.
     ///
     /// # Panics
@@ -81,6 +91,7 @@ mod tests {
     fn into_tree_returns_accumulation() {
         let probe = AttributionProbe::new();
         probe.record("proc/multiplier", ProbeSample::busy(2.0));
+        assert_eq!(probe.with_tree(|t| t.len()), 1);
         let tree = probe.into_tree();
         assert_eq!(tree.node("proc/multiplier").unwrap().busy_ns, 2.0);
     }

@@ -61,10 +61,16 @@ impl AttributionTree {
     /// Records `sample` against the component at `path`.
     pub fn record(&mut self, path: &str, sample: &ProbeSample) {
         self.total.absorb(sample);
-        self.nodes
-            .entry(path.to_string())
-            .or_default()
-            .absorb(sample);
+        // Look up before inserting: only a path's first sample allocates
+        // its key.
+        match self.nodes.get_mut(path) {
+            Some(node) => node.absorb(sample),
+            None => self
+                .nodes
+                .entry(path.to_string())
+                .or_default()
+                .absorb(sample),
+        }
     }
 
     /// The arrival-ordered grand total over every recorded sample.
@@ -142,6 +148,67 @@ mod tests {
         assert_eq!(t.node("device/subarray[0]").unwrap().records, 2);
         assert_eq!(t.total().busy_ns, 16.0);
         assert_eq!(t.total().records, 3);
+    }
+
+    /// Every field of a node, floats as raw bits.
+    fn bits(n: &NodeStats) -> (OpCounters, [u64; 6], u64) {
+        let e = &n.energy;
+        let floats = [
+            e.read_pj,
+            e.write_pj,
+            e.shift_pj,
+            e.compute_pj,
+            e.other_pj,
+            n.busy_ns,
+        ];
+        (n.ops, floats.map(f64::to_bits), n.records)
+    }
+
+    #[test]
+    fn repeated_paths_match_an_insert_per_sample_fold() {
+        // Reference: the plain fold that builds a key for every sample.
+        let paths = [
+            "device/subarray[3]",
+            "bus/lane[0]",
+            "device/subarray[3]",
+            "device/controller",
+            "bus/lane[0]",
+            "device/subarray[10]",
+        ];
+        let mut tree = AttributionTree::new();
+        let mut reference: BTreeMap<String, NodeStats> = BTreeMap::new();
+        let mut total = NodeStats::default();
+        for (i, path) in paths.iter().cycle().take(60).enumerate() {
+            let i = i as u64;
+            let sample = ProbeSample {
+                ops: OpCounters {
+                    reads: i,
+                    shifts: 3 * i + 1,
+                    ..OpCounters::default()
+                },
+                energy: EnergyBreakdown {
+                    shift_pj: 0.1 * i as f64,
+                    other_pj: 1.0 / (i + 3) as f64,
+                    ..EnergyBreakdown::default()
+                },
+                busy_ns: 1.0 / (i + 1) as f64,
+            };
+            tree.record(path, &sample);
+            reference
+                .entry(path.to_string())
+                .or_default()
+                .absorb(&sample);
+            total.absorb(&sample);
+        }
+        assert_eq!(tree.len(), reference.len());
+        assert_eq!(tree.len(), 4);
+        assert_eq!(bits(tree.total()), bits(&total));
+        let got: Vec<_> = tree.iter().map(|(p, n)| (p.to_string(), bits(n))).collect();
+        let want: Vec<_> = reference
+            .iter()
+            .map(|(p, n)| (p.clone(), bits(n)))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use pim_trace::{NullSink, Span, TraceSink, Track, ATTR_REQUEST_ID};
 use rm_core::WearTracker;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -62,6 +62,33 @@ const DEBUG_RECENT_LIMIT: usize = 32;
 
 /// Top-K nanowire rows in the `GET /v1/device/health` heatmap.
 const HEALTH_TOP_WIRES: usize = 16;
+
+/// How long the acceptor waits before retrying after an `accept` error
+/// that is not a per-connection hiccup (e.g. `EMFILE`: out of descriptors).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Whether a failed `accept` is retried at once: a signal, or a connection
+/// that died in the backlog. Anything else (e.g. `EMFILE`) is retried
+/// after [`ACCEPT_BACKOFF`] with a warning.
+fn retry_accept_at_once(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+    )
+}
+
+/// The address that reaches a listener bound to `addr`: a wildcard bind
+/// (`0.0.0.0` / `[::]`) is reached through the matching loopback address.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let mut wake = addr;
+    if addr.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -446,9 +473,10 @@ impl Core {
             // retention policy decide what the request leaves behind. Both
             // observe only; neither touches simulated state.
             if let Some(tap) = &tap {
-                let tree = tap.probe.snapshot();
-                pim_flight::absorb_attribution(&self.health, &tree);
-                self.cluster_util.absorb_attribution(&tree);
+                tap.probe.with_tree(|tree| {
+                    pim_flight::absorb_attribution(&self.health, tree);
+                    self.cluster_util.absorb_attribution(tree);
+                });
             }
             let retained = self.flight.finish(
                 JobObservation {
@@ -905,7 +933,7 @@ impl Core {
             .registry
             .gauge(
                 "pim_flight_overhead_ns_total",
-                "Cumulative host time spent in the flight recorder's completion hook.",
+                "Cumulative host time spent in the flight recorder's completion hook only; the tap's in-run attribution and span collection are not counted.",
                 &[],
             )
             .set(flight.overhead_ns as i64);
@@ -1168,12 +1196,17 @@ impl Core {
     }
 
     /// The acceptor: hand connections to the worker channel, shedding at
-    /// the door with a 429 when the channel is full.
+    /// the door with a 429 when the channel is full. `accept` blocks; the
+    /// loop ends on the first connection accepted after `stop` is set,
+    /// which [`Server::shutdown`] makes itself.
     fn accept_loop(&self, listener: TcpListener, tx: SyncSender<TcpStream>) {
-        while !self.stop.load(Ordering::Relaxed) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if self.stop.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     if let Err(TrySendError::Full(mut stream)) = tx.try_send(stream) {
                         self.counters
                             .shed_connections
@@ -1195,10 +1228,18 @@ impl Core {
                             .write_to(&mut stream);
                     }
                 }
-                Err(ref error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                Err(error) => {
+                    if !retry_accept_at_once(error.kind()) {
+                        self.obs.events.emit(
+                            Level::Warn,
+                            "accept",
+                            "",
+                            &format!("accept failed, retrying: {error}"),
+                            &[],
+                        );
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                    }
                 }
-                Err(_) => break,
             }
         }
         // Dropping `tx` closes the channel; workers exit once it drains.
@@ -1229,7 +1270,6 @@ impl Server {
     /// [`Track::Service`] lanes into `sink`.
     pub fn start_with_sink(config: ServeConfig, sink: Arc<dyn TraceSink>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let backlog = config.connection_backlog.max(1);
         let http_workers = config.http_workers.max(1);
@@ -1308,9 +1348,10 @@ impl Server {
     /// Returns the final drained state.
     pub fn shutdown(mut self) -> DrainResponse {
         let drained = self.core.drain();
-        self.core.stop.store(true, Ordering::Relaxed);
-        // Nudge the accept loop in case it is between polls.
-        let _ = TcpStream::connect(self.addr);
+        self.core.stop.store(true, Ordering::Release);
+        // Wake the acceptor out of its blocking `accept`: it checks `stop`
+        // after every connection, this one included.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -1654,6 +1695,65 @@ mod tests {
         );
 
         server.shutdown();
+    }
+
+    /// Shuts `server` down on another thread and asserts it finished
+    /// within a second. `shutdown` joins every thread before it returns,
+    /// and the acceptor owns the listener, so rebinding the port afterwards
+    /// proves the acceptor is gone.
+    fn assert_prompt_shutdown(server: Server) {
+        let addr = server.addr();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("shutdown returned within 1 s");
+        TcpListener::bind(addr).expect("listener released by the joined acceptor");
+    }
+
+    #[test]
+    fn shutdown_of_an_untouched_server_is_prompt() {
+        assert_prompt_shutdown(Server::start(ServeConfig::default()).unwrap());
+    }
+
+    #[test]
+    fn shutdown_of_a_wildcard_bind_is_prompt() {
+        let server = Server::start(ServeConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        assert!(server.addr().ip().is_unspecified());
+        let (status, _, body) =
+            call(&wake_addr(server.addr()), "GET", "/v1/healthz", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_prompt_shutdown(server);
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:8080".parse().unwrap();
+        let v6: SocketAddr = "[::]:8080".parse().unwrap();
+        let bound: SocketAddr = "10.1.2.3:8080".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:8080".parse().unwrap());
+        assert_eq!(wake_addr(v6), "[::1]:8080".parse().unwrap());
+        assert_eq!(wake_addr(bound), bound);
+    }
+
+    #[test]
+    fn accept_errors_back_off_unless_transient() {
+        use io::ErrorKind::*;
+        assert!(retry_accept_at_once(Interrupted));
+        assert!(retry_accept_at_once(ConnectionAborted));
+        assert!(!retry_accept_at_once(Other));
+        // ENFILE, EMFILE, ENOMEM and ENOBUFS: resource exhaustion backs off.
+        #[cfg(target_os = "linux")]
+        for errno in [23, 24, 12, 105] {
+            let kind = io::Error::from_raw_os_error(errno).kind();
+            assert!(!retry_accept_at_once(kind), "{errno}");
+        }
     }
 
     #[test]

@@ -50,6 +50,16 @@ const SLO_OBJECTIVE_NS: u64 = 1_000_000;
 /// The tenant mix: weights 4/2/1, exercised by every mode.
 const TENANTS: [(&str, u64); 3] = [("gold", 4), ("silver", 2), ("bronze", 1)];
 
+/// Recorder on/off pairs in the A/B; the arms alternate order pair by pair
+/// so host drift lands on both.
+const AB_PAIRS: usize = 5;
+
+/// Median of `values` (empty = 0).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values.get(values.len() / 2).copied().unwrap_or(0.0)
+}
+
 /// Per-mode traffic counts observed by the clients.
 #[derive(Debug, Default)]
 struct Traffic {
@@ -346,11 +356,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.check_conservation().expect("metering conservation");
     let drained = server.shutdown();
 
-    // Recorder A/B: the same closed-loop workload against two fresh
-    // servers, recorder on vs off, default (2 s) objective so nothing is
-    // retained — the marginal cost measured is the always-on tap +
-    // summarize path, the one every healthy request pays.
-    println!("loadgen: recorder A/B, {clients} clients, {duration_ms} ms per arm ...");
+    // Recorder A/B: the same closed-loop workload against fresh servers,
+    // recorder on vs off, default (2 s) objective so nothing is retained —
+    // the marginal cost measured is the always-on tap + summarize path, the
+    // one every healthy request pays. `AB_PAIRS` interleaved pairs; the
+    // medians are reported.
+    println!(
+        "loadgen: recorder A/B, {clients} clients, {AB_PAIRS} interleaved pairs of {duration_ms} ms arms ..."
+    );
     let ab_arm = |enabled: bool| -> Result<f64, Box<dyn std::error::Error>> {
         let server = Server::start(ServeConfig {
             admission: AdmissionConfig {
@@ -369,19 +382,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.shutdown();
         Ok(traffic.completed.load(Ordering::Relaxed) as f64 / elapsed_s)
     };
-    let throughput_on = ab_arm(true)?;
-    let throughput_off = ab_arm(false)?;
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for pair in 0..AB_PAIRS {
+        let order = if pair % 2 == 0 {
+            [true, false]
+        } else {
+            [false, true]
+        };
+        for enabled in order {
+            let throughput = ab_arm(enabled)?;
+            if enabled {
+                on.push(throughput);
+            } else {
+                off.push(throughput);
+            }
+        }
+    }
+    let throughput_on = median(on);
+    let throughput_off = median(off);
     let overhead_pct = if throughput_off > 0.0 {
         (throughput_off - throughput_on) / throughput_off * 100.0
     } else {
         0.0
     };
     println!(
-        "loadgen: recorder on {throughput_on:.1} jobs/s, off {throughput_off:.1} jobs/s ({overhead_pct:+.2}% overhead)"
+        "loadgen: recorder on {throughput_on:.1} jobs/s, off {throughput_off:.1} jobs/s, medians ({overhead_pct:+.2}% overhead)"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve_loadgen\",\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_pct:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"serve_loadgen\",\n  \"config\": {{\"duration_ms\": {duration_ms}, \"clients\": {clients}, \"dispatchers\": {}, \"intra_threads\": {}}},\n  \"modes\": [\n    {},\n    {}\n  ],\n  \"latency_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"slo\": {{\"latency_objective_ns\": {}, \"objective\": {}, \"jobs\": {}, \"attainment\": {attainment:.6}, \"error_budget_burn\": {burn:.4}, \"pass\": {pass}}},\n  \"flight\": {{\"observed\": {}, \"retained\": {}, \"summarized\": {}, \"evicted\": {}, \"overhead_ns\": {}, \"ab\": {{\"pairs\": {AB_PAIRS}, \"recorder_on_jobs_per_s\": {throughput_on:.1}, \"recorder_off_jobs_per_s\": {throughput_off:.1}, \"overhead_pct\": {overhead_pct:.2}}}}},\n  \"ledger\": {{\"tenants\": {}, \"billed_microcredits\": {}, \"jobs_settled\": {}, \"jobs_cancelled\": {}}}\n}}\n",
         plan.dispatch_workers,
         plan.intra_per_job,
         mode_json("closed_loop", &closed, closed_s),
