@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke bench-serve experiments
+.PHONY: verify fmt lint build test perfbench-test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke bench-serve experiments
 
-verify: fmt lint build test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke
+verify: fmt lint build test perfbench-test determinism wide-smoke bench-build bench-device cluster-smoke fidelity serve-smoke obs-smoke flight-smoke
 	@echo "verify: all gates passed"
 
 fmt:
@@ -19,6 +19,12 @@ build:
 
 test:
 	$(CARGO) test -q --workspace
+
+# The benchmark crate is a workspace of its own, so `test` never builds it:
+# compile and test it here so an API change that breaks the calls it makes
+# fails verify instead of the benchmark run.
+perfbench-test:
+	$(CARGO) test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Intra-run parallelism determinism suite at several worker shapes: the
 # default counts (1,2,7,16), then deliberately awkward odd counts. Reports

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_device::matrix::Matrix;
 use pim_device::task::{MatrixOp, PimTask};
-use pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use pim_device::{Instruments, OptLevel, StreamPim, StreamPimConfig};
 use std::hint::black_box;
 
 fn matmul_task(n: usize) -> PimTask {
@@ -37,7 +37,7 @@ fn bench_pricing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
             let schedule = matmul_task(n).lower(&device).unwrap();
-            b.iter(|| device.execute(black_box(&schedule)))
+            b.iter(|| device.execute(black_box(&schedule), &Instruments::NONE))
         });
     }
     group.finish();
@@ -54,7 +54,7 @@ fn bench_opt_levels(c: &mut Criterion) {
                 let device =
                     StreamPim::new(StreamPimConfig::paper_default().with_opt(opt)).unwrap();
                 let schedule = matmul_task(256).lower(&device).unwrap();
-                b.iter(|| device.execute(black_box(&schedule)))
+                b.iter(|| device.execute(black_box(&schedule), &Instruments::NONE))
             },
         );
     }

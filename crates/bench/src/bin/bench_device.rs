@@ -22,7 +22,7 @@
 //! count of the machine at hand.
 
 use pim_device::flow::DeviceFlow;
-use pim_device::Parallelism;
+use pim_device::{Instruments, Parallelism};
 use rm_core::reference::{ScalarMat, ScalarNanowire};
 use rm_core::{Mat, Nanowire, ShiftDir, ShiftFaultModel};
 use rm_proc::RmProcessor;
@@ -362,18 +362,18 @@ fn main() -> ExitCode {
         let cold_ns = median_ns(rep_iters, rep_samples, || {
             for spec in &shapes {
                 let schedule = spec.build_task().lower(&device).expect("lowers");
-                black_box(device.execute(&schedule));
+                black_box(device.execute(&schedule, &Instruments::NONE));
             }
         });
         // Warm the table with the first shape, then sweep the rest —
         // exactly what the runtime does after one shape-class submission.
         let mut table = PriceTable::new();
         let warm = shapes[0].shape_task().lower(&device).expect("lowers");
-        device.execute_repriced(&warm, &mut table);
+        device.execute_repriced(&warm, &Instruments::NONE, &mut table);
         let repriced_ns = median_ns(rep_iters, rep_samples, || {
             for spec in &shapes {
                 let schedule = spec.shape_task().lower(&device).expect("lowers");
-                black_box(device.execute_repriced(&schedule, &mut table));
+                black_box(device.execute_repriced(&schedule, &Instruments::NONE, &mut table));
             }
         });
         RepriceResult {

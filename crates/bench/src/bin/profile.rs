@@ -17,6 +17,7 @@
 
 use pim_baselines::platform::{Platform, PlatformKind, Workload};
 use pim_bench::figures::Scale;
+use pim_device::Instruments;
 use pim_profile::{diff, AttributionProbe, Profile};
 use pim_workloads::polybench::Kernel;
 use std::process::ExitCode;
@@ -126,7 +127,14 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     let probe = AttributionProbe::new();
-    let report = match p.run_with_schedule_profiled(&workload, None, &probe) {
+    let report = match p.run_instrumented(
+        &workload,
+        None,
+        &Instruments {
+            probe: &probe,
+            ..Instruments::NONE
+        },
+    ) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pricing {} on {platform} failed: {e}", workload.name);

@@ -11,7 +11,7 @@
 use crate::figures::Scale;
 use pim_device::engine::Engine;
 use pim_device::engine_event::EventEngine;
-use pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use pim_device::{Instruments, OptLevel, StreamPim, StreamPimConfig};
 use pim_trace::analyze::Analysis;
 use pim_trace::{chrome, Collector};
 use pim_workloads::polybench::Kernel;
@@ -46,12 +46,20 @@ pub fn trace_kernel(kernel: Kernel, scale: Scale) -> Result<TraceRun, Box<dyn st
         .lower(&device)?;
 
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    let traced = Instruments {
+        sink: &sink,
+        ..Instruments::NONE
+    };
+    EventEngine::new(&cfg).run(&schedule, &traced);
+    Engine::new(&cfg).run(&schedule, &traced, 1);
 
     let overlap = |opt: OptLevel| {
         let c = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &c);
+        let traced = Instruments {
+            sink: &c,
+            ..Instruments::NONE
+        };
+        Engine::new(&cfg.clone().with_opt(opt)).run(&schedule, &traced, 1);
         Analysis::of(&c.spans()).overlap_fraction
     };
 

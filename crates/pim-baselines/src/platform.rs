@@ -8,8 +8,8 @@ use crate::gpu::GpuModel;
 use pim_device::report::ExecReport;
 use pim_device::schedule::Schedule;
 use pim_device::task::PimTask;
-use pim_device::{Parallelism, PimError, PriceTable, StreamPim, StreamPimConfig};
-use pim_trace::{NullSink, Phase, Span, TraceSink, Track};
+use pim_device::{Instruments, Parallelism, PimError, PriceTable, StreamPim, StreamPimConfig};
+use pim_trace::{Phase, Span, TraceSink, Track};
 use pim_workloads::dnn::DnnModel;
 use pim_workloads::polybench::KernelInstance;
 use pim_workloads::profile::KernelProfile;
@@ -256,53 +256,27 @@ impl Platform {
         workload: &Workload,
         schedule: Option<&Schedule>,
     ) -> Result<ExecReport, PimError> {
-        self.run_with_schedule_traced(workload, schedule, &NullSink)
+        self.run_instrumented(workload, schedule, &Instruments::NONE)
     }
 
-    /// Like [`Platform::run_with_schedule`], but emits spans describing the
-    /// execution timeline into `sink`. StreamPIM platforms emit the analytic
-    /// engine's per-round phase spans; every other platform emits a single
-    /// span covering its closed-form total (those models have no internal
-    /// timeline to expose). The returned report is identical to the
-    /// untraced path for any sink.
+    /// [`Platform::run_with_schedule`] observed by `instruments`.
     ///
-    /// # Errors
+    /// The sink receives spans describing the execution timeline:
+    /// StreamPIM platforms emit the analytic engine's per-round phase
+    /// spans; every other platform emits a single span covering its
+    /// closed-form total (those models have no internal timeline to
+    /// expose).
     ///
-    /// Same as [`Platform::run_with_schedule`].
-    pub fn run_with_schedule_traced(
-        &self,
-        workload: &Workload,
-        schedule: Option<&Schedule>,
-        sink: &dyn TraceSink,
-    ) -> Result<ExecReport, PimError> {
-        self.run_instrumented(workload, schedule, sink, &rm_core::NullProbe)
-    }
-
-    /// Like [`Platform::run_with_schedule`], but records per-component
-    /// attribution on `probe`. StreamPIM platforms emit the engine's
-    /// component paths (`bus/lane[k]`, `device/subarray[s]`,
-    /// `device/controller`); the closed-form hosts record one sample at
-    /// `host/cpu` / `host/gpu`; the idealized PIM baselines split theirs
-    /// across `device/<platform>` (compute), `bus/internal` (operand and
-    /// result placement traffic) and `device/peripherals` (static power).
-    /// Recorded energy and counters sum exactly to the returned report's
-    /// totals; the report itself is identical to the unprofiled path.
+    /// The probe receives per-component attribution: StreamPIM platforms
+    /// emit the engine's component paths (`bus/lane[k]`,
+    /// `device/subarray[s]`, `device/controller`); the closed-form hosts
+    /// record one sample at `host/cpu` / `host/gpu`; the idealized PIM
+    /// baselines split theirs across `device/<platform>` (compute),
+    /// `bus/internal` (operand and result placement traffic) and
+    /// `device/peripherals` (static power). Recorded energy and counters
+    /// sum exactly to the returned report's totals.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Platform::run_with_schedule`].
-    pub fn run_with_schedule_profiled(
-        &self,
-        workload: &Workload,
-        schedule: Option<&Schedule>,
-        probe: &dyn rm_core::Probe,
-    ) -> Result<ExecReport, PimError> {
-        self.run_instrumented(workload, schedule, &NullSink, probe)
-    }
-
-    /// Tracing and profiling in one pass (see
-    /// [`Platform::run_with_schedule_traced`] and
-    /// [`Platform::run_with_schedule_profiled`]).
+    /// The report is identical for every sink/probe combination.
     ///
     /// # Errors
     ///
@@ -311,9 +285,9 @@ impl Platform {
         &self,
         workload: &Workload,
         schedule: Option<&Schedule>,
-        sink: &dyn TraceSink,
-        probe: &dyn rm_core::Probe,
+        instruments: &Instruments,
     ) -> Result<ExecReport, PimError> {
+        let Instruments { sink, probe } = *instruments;
         let mut report = match &self.inner {
             Inner::Cpu(m) => {
                 let r = m.run_profile(&workload.profile);
@@ -332,16 +306,16 @@ impl Platform {
                 let s = match schedule {
                     Some(s) => s,
                     // `PimTask::price` is exactly lower-then-execute, so
-                    // lowering here keeps the traced and untraced paths
+                    // lowering here keeps the instrumented and plain paths
                     // byte-identical.
                     None => {
                         lowered = workload.task.lower(device)?;
                         &lowered
                     }
                 };
-                device.execute_instrumented(s, sink, probe)
+                device.execute(s, instruments)
             }
-            Inner::Coruscant(m) => {
+            Inner::Coruscant(_) | Inner::BitSerial(_) => {
                 let lowered;
                 let s = match schedule {
                     Some(s) => s,
@@ -350,24 +324,13 @@ impl Platform {
                         &lowered
                     }
                 };
-                let mut r = m.run_schedule(s);
-                record_report_sample(probe, "device/coruscant", &r);
-                add_baseline_movement(&mut r, s, probe);
-                r
-            }
-            Inner::BitSerial(m) => {
-                let lowered;
-                let s = match schedule {
-                    Some(s) => s,
-                    None => {
-                        lowered = workload.task.lower(&reference_device()?)?;
-                        &lowered
+                let (mut r, path) = match &self.inner {
+                    Inner::Coruscant(m) => (m.run_schedule(s), "device/coruscant"),
+                    Inner::BitSerial(m) if self.kind == PlatformKind::Felix => {
+                        (m.run_schedule(s), "device/felix")
                     }
-                };
-                let mut r = m.run_schedule(s);
-                let path = match self.kind {
-                    PlatformKind::Felix => "device/felix",
-                    _ => "device/elp2im",
+                    Inner::BitSerial(m) => (m.run_schedule(s), "device/elp2im"),
+                    _ => unreachable!("matched a closed-form PIM baseline above"),
                 };
                 record_report_sample(probe, path, &r);
                 add_baseline_movement(&mut r, s, probe);
@@ -399,29 +362,26 @@ impl Platform {
         schedule: &Schedule,
         table: &mut PriceTable,
     ) -> Option<(ExecReport, u64)> {
-        self.run_schedule_repriced_instrumented(schedule, table, &NullSink, &rm_core::NullProbe)
+        self.run_schedule_repriced_instrumented(schedule, table, &Instruments::NONE)
     }
 
-    /// [`Platform::run_schedule_repriced`] with tracing and profiling
-    /// attached. The engine's re-pricing contract extends to instruments:
-    /// report, spans and probe samples (including the static-power
-    /// `device/peripherals` sample added here) are byte-identical to a
-    /// cold instrumented run at any table state — this is what lets the
-    /// serving flight recorder observe every request on the memoized fast
-    /// path.
+    /// [`Platform::run_schedule_repriced`] observed by `instruments`. The
+    /// engine's re-pricing contract extends to instruments: report, spans
+    /// and probe samples (including the static-power `device/peripherals`
+    /// sample added here) are byte-identical to a cold instrumented run at
+    /// any table state — this is what lets the serving flight recorder
+    /// observe every request on the memoized fast path.
     pub fn run_schedule_repriced_instrumented(
         &self,
         schedule: &Schedule,
         table: &mut PriceTable,
-        sink: &dyn TraceSink,
-        probe: &dyn rm_core::Probe,
+        instruments: &Instruments,
     ) -> Option<(ExecReport, u64)> {
         let Inner::StreamPim(device) = &self.inner else {
             return None;
         };
-        let (mut report, fresh) =
-            device.execute_repriced_instrumented(schedule, sink, probe, table);
-        add_pim_static_power(&mut report, probe);
+        let (mut report, fresh) = device.execute_repriced(schedule, instruments, table);
+        add_pim_static_power(&mut report, instruments.probe);
         Some((report, fresh))
     }
 }
@@ -614,10 +574,41 @@ mod tests {
         for kind in PlatformKind::FIGURE_17 {
             let p = Platform::new(kind).unwrap();
             let sink = pim_trace::Collector::new();
-            let traced = p.run_with_schedule_traced(&w, None, &sink).unwrap();
+            let traced = p
+                .run_instrumented(
+                    &w,
+                    None,
+                    &Instruments {
+                        sink: &sink,
+                        ..Instruments::NONE
+                    },
+                )
+                .unwrap();
             let plain = p.run(&w).unwrap();
             assert_eq!(traced, plain, "{kind}: tracing must not change pricing");
             assert!(sink.span_count() > 0, "{kind}: no spans recorded");
+            // A probe riding along must not change the report or the spans.
+            let both = pim_trace::Collector::new();
+            let probe = rm_core::shard::BufferProbe::new();
+            let combined = p
+                .run_instrumented(
+                    &w,
+                    None,
+                    &Instruments {
+                        sink: &both,
+                        probe: &probe,
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                combined, plain,
+                "{kind}: sink + probe must not change pricing"
+            );
+            assert_eq!(
+                both.spans(),
+                sink.spans(),
+                "{kind}: a probe changed the spans"
+            );
         }
     }
 
@@ -643,7 +634,16 @@ mod tests {
         for kind in PlatformKind::FIGURE_17 {
             let p = Platform::new(kind).unwrap();
             let probe = SumProbe::default();
-            let profiled = p.run_with_schedule_profiled(&w, None, &probe).unwrap();
+            let profiled = p
+                .run_instrumented(
+                    &w,
+                    None,
+                    &Instruments {
+                        probe: &probe,
+                        ..Instruments::NONE
+                    },
+                )
+                .unwrap();
             let plain = p.run(&w).unwrap();
             assert_eq!(profiled, plain, "{kind}: profiling must not change pricing");
             let (ops, energy) = *probe.0.lock().unwrap();
@@ -652,6 +652,27 @@ mod tests {
                 energy.total_pj(),
                 profiled.energy.total_pj(),
                 "{kind}: energy conservation"
+            );
+            // A sink riding along must not change the report or the samples.
+            let both = SumProbe::default();
+            let combined = p
+                .run_instrumented(
+                    &w,
+                    None,
+                    &Instruments {
+                        sink: &pim_trace::Collector::new(),
+                        probe: &both,
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                combined, plain,
+                "{kind}: sink + probe must not change pricing"
+            );
+            assert_eq!(
+                *both.0.lock().unwrap(),
+                (ops, energy),
+                "{kind}: a sink changed the samples"
             );
         }
     }

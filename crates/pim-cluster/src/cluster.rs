@@ -4,8 +4,10 @@ use crate::interconnect::{price_collective, InterconnectReport, LinkLoad};
 use crate::partition::{data_shards, pipeline_stages};
 use crate::topology::ClusterConfig;
 use pim_baselines::{add_pim_static_power, PIM_STATIC_W};
-use pim_device::{ExecReport, MatrixOp, Parallelism, PimError, Result, ShapeTask, StreamPim};
-use pim_trace::{Collector, Event, Span, TraceSink};
+use pim_device::{
+    ExecReport, Instruments, MatrixOp, Parallelism, PimError, Result, ShapeTask, StreamPim,
+};
+use pim_trace::{Collector, Event, Span};
 use pim_workloads::dnn::MatMulShape;
 use pim_workloads::spec::WorkloadSpec;
 use rm_core::shard::{map_sharded, BufferProbe};
@@ -195,18 +197,12 @@ impl Cluster {
         strategy: PartitionStrategy,
         batch: u32,
     ) -> Result<ClusterReport> {
-        self.run_instrumented(
-            workload,
-            strategy,
-            batch,
-            &pim_trace::NullSink,
-            &rm_core::NullProbe,
-        )
+        self.run_instrumented(workload, strategy, batch, &Instruments::NONE)
     }
 
-    /// Prices `workload` across the cluster with tracing and profiling
-    /// attached. Device spans are re-emitted to `sink` tagged with a
-    /// `device` argument; engine attribution lands on `probe` under
+    /// Prices `workload` across the cluster observed by `instruments`.
+    /// Device spans are re-emitted to the sink tagged with a
+    /// `device` argument; engine attribution lands on the probe under
     /// `cluster/device[d]/...`, link transfers under
     /// `cluster/interconnect/link[d]`, and per-device static power under
     /// `cluster/device[d]/peripherals`. A single-device cluster at batch 1
@@ -225,19 +221,18 @@ impl Cluster {
         workload: &WorkloadSpec,
         strategy: PartitionStrategy,
         batch: u32,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
     ) -> Result<ClusterReport> {
         if batch == 0 {
             return Err(PimError::Config("cluster batch must be at least 1".into()));
         }
         if self.devices() == 1 {
-            return self.run_single(workload, batch, sink, probe);
+            return self.run_single(workload, batch, instruments);
         }
         let shapes = matmul_shapes(workload)?;
         match strategy {
-            PartitionStrategy::Data => self.run_data(&shapes, batch, sink, probe),
-            PartitionStrategy::Pipeline => self.run_pipeline(&shapes, batch, sink, probe),
+            PartitionStrategy::Data => self.run_data(&shapes, batch, instruments),
+            PartitionStrategy::Pipeline => self.run_pipeline(&shapes, batch, instruments),
         }
     }
 
@@ -250,16 +245,15 @@ impl Cluster {
         &self,
         workload: &WorkloadSpec,
         batch: u32,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
     ) -> Result<ClusterReport> {
         let device = StreamPim::new(self.config.device.clone())?;
         let schedule = workload.shape_task().lower(&device)?;
-        let mut report = device.execute_instrumented(&schedule, sink, probe);
-        add_pim_static_power(&mut report, probe);
+        let mut report = device.execute(&schedule, instruments);
+        add_pim_static_power(&mut report, instruments.probe);
         if batch > 1 {
             let residual = scale_report(&report, u64::from(batch) - 1);
-            record_replication(probe, &residual);
+            record_replication(instruments.probe, &residual);
             report = scale_report(&report, u64::from(batch));
         }
         Ok(ClusterReport {
@@ -280,12 +274,11 @@ impl Cluster {
         &self,
         shapes: &[MatMulShape],
         batch: u32,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
         let shards = data_shards(shapes, n);
-        let lanes = self.run_lanes(&shards, sink.enabled(), probe.enabled())?;
+        let lanes = self.run_lanes(&shards, instruments)?;
 
         // Link loads of one batch item: each device receives its A row
         // block plus the full (broadcast) B of every layer it computes, and
@@ -329,8 +322,7 @@ impl Cluster {
             interconnect,
             critical_device,
             batch,
-            sink,
-            probe,
+            instruments,
             &lanes,
         )
     }
@@ -342,12 +334,11 @@ impl Cluster {
         &self,
         shapes: &[MatMulShape],
         batch: u32,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
     ) -> Result<ClusterReport> {
         let n = self.devices() as usize;
         let stages = pipeline_stages(shapes, n);
-        let lanes = self.run_lanes(&stages, sink.enabled(), probe.enabled())?;
+        let lanes = self.run_lanes(&stages, instruments)?;
         let elem = u64::from(self.config.device.device.word_bits.div_ceil(8).max(1));
 
         // One-time weight load: every stage receives its layers' weights.
@@ -422,21 +413,21 @@ impl Cluster {
             interconnect,
             critical_device,
             batch,
-            sink,
-            probe,
+            instruments,
             &lanes,
         )
     }
 
     /// Runs one device lane per shard on scoped threads (clamped by the
     /// cluster's parallelism) and returns the outputs in device order.
-    /// Instruments are buffered per lane and replayed later by `finish`.
+    /// Each lane buffers what the enabled `instruments` would observe;
+    /// `finish` replays it in device order.
     fn run_lanes(
         &self,
         shards: &[Vec<MatMulShape>],
-        traced: bool,
-        probed: bool,
+        instruments: &Instruments,
     ) -> Result<Vec<LaneOutput>> {
+        let (traced, probed) = (instruments.sink.enabled(), instruments.probe.enabled());
         let workers = self.parallelism.resolve_here().min(shards.len().max(1));
         let config = &self.config.device;
         let outputs = map_sharded(shards, workers, |_d, shard| -> Result<LaneOutput> {
@@ -454,13 +445,19 @@ impl Cluster {
             let schedule = shard_task(shard)?.lower(&device)?;
             let collector = Collector::new();
             let buffer = BufferProbe::new();
-            let lane_sink: &dyn TraceSink = if traced {
-                &collector
-            } else {
-                &pim_trace::NullSink
+            let lane = Instruments {
+                sink: if traced {
+                    &collector
+                } else {
+                    Instruments::NONE.sink
+                },
+                probe: if probed {
+                    &buffer
+                } else {
+                    Instruments::NONE.probe
+                },
             };
-            let lane_probe: &dyn Probe = if probed { &buffer } else { &rm_core::NullProbe };
-            let report = device.execute_instrumented(&schedule, lane_sink, lane_probe);
+            let report = device.execute(&schedule, &lane);
             Ok(LaneOutput {
                 report,
                 spans: collector.spans(),
@@ -485,10 +482,10 @@ impl Cluster {
         interconnect: InterconnectReport,
         critical_device: u32,
         batch: u32,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
         lanes: &[LaneOutput],
     ) -> Result<ClusterReport> {
+        let Instruments { sink, probe } = *instruments;
         // Static power: every device's peripherals stay powered for the
         // whole cluster window (same formula as the single-device path).
         let window_ns = combined_time.total_ns();

@@ -1,6 +1,7 @@
 //! StreamPIM device configuration and entry points.
 
 use crate::engine::{Engine, EngineParams};
+use crate::instruments::Instruments;
 use crate::placement::PlacementKind;
 use crate::report::ExecReport;
 use crate::schedule::Schedule;
@@ -227,107 +228,45 @@ impl StreamPim {
     /// parallelism level resolved against the machine *and* the schedule's
     /// pricing-row count, so `Auto` declines to spawn threads for shapes
     /// whose shards would finish faster than the threads start (see
-    /// [`Parallelism::resolve_for_rows`]).
+    /// [`Parallelism::resolve_for_rows`]). Only `Auto` reads the machine
+    /// width; explicit levels ignore it.
     fn workers(&self, schedule: &Schedule) -> usize {
-        let total = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        if self.parallelism != Parallelism::Auto {
+            return self.parallelism.resolve(1);
+        }
         let rows: usize = schedule
             .rounds
             .iter()
             .map(|r| r.broadcasts.len() + r.collects.len() + r.computes.len())
             .sum();
-        self.parallelism.resolve_for_rows(total, rows)
+        Parallelism::Auto.resolve_for_rows(Parallelism::Auto.resolve_here(), rows)
     }
 
-    /// Prices a schedule on this device: the core simulation entry point.
-    pub fn execute(&self, schedule: &Schedule) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            &pim_trace::NullSink,
-            &rm_core::NullProbe,
-            self.workers(schedule),
-        )
+    /// Prices a schedule on this device, observed by `instruments`: the core
+    /// simulation entry point. Phase spans go to the sink and component
+    /// attribution to the probe (see [`Engine::run`] for the paths and the
+    /// conservation contract); the report is identical for every
+    /// sink/probe combination.
+    pub fn execute(&self, schedule: &Schedule, instruments: &Instruments) -> ExecReport {
+        Engine::new(&self.config).run(schedule, instruments, self.workers(schedule))
     }
 
     /// Like [`StreamPim::execute`], but prices through a
     /// [`crate::engine::PriceTable`] memo: rows already priced by an earlier
     /// run of this configuration are replayed, only new `(kind, len)` rows
     /// are priced fresh. Returns the report plus the number of rows priced
-    /// fresh this run. The report is byte-identical to [`StreamPim::execute`]
-    /// at any table state (see [`Engine::run_repriced`]).
+    /// fresh this run. The report — and every span and probe sample — is
+    /// byte-identical to [`StreamPim::execute`] at any table state (see
+    /// [`Engine::run_repriced`]), so always-on observers (the serving
+    /// flight recorder) can ride the memoized fast path without forcing a
+    /// cold price.
     pub fn execute_repriced(
         &self,
         schedule: &Schedule,
+        instruments: &Instruments,
         table: &mut crate::engine::PriceTable,
     ) -> (ExecReport, u64) {
-        Engine::new(&self.config).run_repriced(
-            schedule,
-            &pim_trace::NullSink,
-            &rm_core::NullProbe,
-            table,
-        )
-    }
-
-    /// [`StreamPim::execute_repriced`] with tracing and profiling attached:
-    /// phase spans go to `sink`, component attribution to `probe`. The
-    /// engine's re-pricing contract makes the report — and every span and
-    /// probe sample — byte-identical to a cold instrumented run at any
-    /// table state, so always-on observers (the serving flight recorder)
-    /// can ride the memoized fast path without forcing a cold price.
-    pub fn execute_repriced_instrumented(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn pim_trace::TraceSink,
-        probe: &dyn rm_core::Probe,
-        table: &mut crate::engine::PriceTable,
-    ) -> (ExecReport, u64) {
-        Engine::new(&self.config).run_repriced(schedule, sink, probe, table)
-    }
-
-    /// Like [`StreamPim::execute`], but emits phase spans describing the
-    /// analytic timeline to `sink`. With a disabled sink (e.g.
-    /// [`pim_trace::NullSink`]) this is identical to `execute`.
-    pub fn execute_traced(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn pim_trace::TraceSink,
-    ) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            sink,
-            &rm_core::NullProbe,
-            self.workers(schedule),
-        )
-    }
-
-    /// Like [`StreamPim::execute`], but records component attribution on
-    /// `probe` (see [`Engine::run_profiled`] for the paths and the
-    /// conservation contract). With a disabled probe (e.g.
-    /// [`rm_core::NullProbe`]) this is identical to `execute`.
-    pub fn execute_profiled(&self, schedule: &Schedule, probe: &dyn rm_core::Probe) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            &pim_trace::NullSink,
-            probe,
-            self.workers(schedule),
-        )
-    }
-
-    /// Tracing and profiling in one pass (see [`StreamPim::execute_traced`]
-    /// and [`StreamPim::execute_profiled`]).
-    pub fn execute_instrumented(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn pim_trace::TraceSink,
-        probe: &dyn rm_core::Probe,
-    ) -> ExecReport {
-        Engine::new(&self.config).run_instrumented_with_workers(
-            schedule,
-            sink,
-            probe,
-            self.workers(schedule),
-        )
+        Engine::new(&self.config).run_repriced(schedule, instruments, table)
     }
 }
 
@@ -395,7 +334,10 @@ mod tests {
             });
         }
         s.push(round);
-        assert_eq!(serial.execute(&s), threaded.execute(&s));
+        assert_eq!(
+            serial.execute(&s, &Instruments::NONE),
+            threaded.execute(&s, &Instruments::NONE)
+        );
     }
 
     #[test]

@@ -31,13 +31,14 @@
 //!   scalability ceiling (Figure 21's saturation).
 
 use crate::device::{OptLevel, StreamPimConfig};
+use crate::instruments::Instruments;
 use crate::report::ExecReport;
 use crate::schedule::Schedule;
 use crate::vpc::Vpc;
-use pim_trace::{NullSink, Phase, Span, TraceSink, Track};
+use pim_trace::{Phase, Span, TraceSink, Track};
 use rm_bus::{BusModel, ElectricalBusModel};
 use rm_core::config::BusKind;
-use rm_core::{EnergyBreakdown, NullProbe, OpCounters, Probe, ProbeSample};
+use rm_core::{EnergyBreakdown, OpCounters, ProbeSample};
 use rm_proc::{PipelineModel, ProcOp};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -324,56 +325,29 @@ impl Engine {
         }
     }
 
-    /// Prices a schedule.
-    pub fn run(&self, schedule: &Schedule) -> ExecReport {
-        self.run_instrumented(schedule, &NullSink, &NullProbe)
-    }
-
-    /// Prices a schedule with component attribution: per-VPC costs are
-    /// recorded on `probe` under `bus/lane[k]` (transfers, keyed by their
-    /// transfer lane), `device/subarray[s]` (computes, keyed by their home
-    /// subarray) and `device/controller` (decode energy and occupancy).
+    /// Prices a schedule, observed by `instruments`, with per-VPC cost
+    /// pricing (the hot part of an analytic run) sharded across up to
+    /// `workers` scoped OS threads.
     ///
-    /// Conservation contract: each emission records exactly the value the
-    /// engine adds to the report's global accumulators, in the same order,
-    /// so an attribution tree's total is bit-identical to the report's
+    /// The probe receives component attribution: per-VPC costs under
+    /// `bus/lane[k]` (transfers, keyed by their transfer lane),
+    /// `device/subarray[s]` (computes, keyed by their home subarray) and
+    /// `device/controller` (decode energy and occupancy). Conservation
+    /// contract: each emission records exactly the value the engine adds to
+    /// the report's global accumulators, in the same order, so an
+    /// attribution tree's total is bit-identical to the report's
     /// `counters`/`energy`. Busy time is *occupancy* — per-component busy
     /// sums intentionally exceed the composed wall-clock time, which is
     /// derived after the fact (see the breakdown scaling in the source).
-    pub fn run_profiled(&self, schedule: &Schedule, probe: &dyn Probe) -> ExecReport {
-        self.run_instrumented(schedule, &NullSink, probe)
-    }
-
-    /// Prices a schedule, emitting one phase span per round into `sink`
-    /// (broadcast / compute / collect timelines, [`pim_trace::Phase`]).
     ///
-    /// The phase timeline is *synthetic*: the closed forms compose
-    /// per-round makespans, not per-command start times, so spans carry the
-    /// per-round phase durations laid out according to the optimization
-    /// level — one serial clock for `Base`/`Distribute`, separate
-    /// compute/transfer clocks (both from zero) for `Unblock`, which is
-    /// exactly the overlap structure the closed form assumes. The priced
-    /// [`ExecReport`] is identical to [`Engine::run`] for every sink.
-    pub fn run_traced(&self, schedule: &Schedule, sink: &dyn TraceSink) -> ExecReport {
-        self.run_instrumented(schedule, sink, &NullProbe)
-    }
-
-    /// The fully instrumented pricing loop behind [`Engine::run`],
-    /// [`Engine::run_traced`] and [`Engine::run_profiled`]: emits phase
-    /// spans into `sink` and attribution samples into `probe`. The priced
-    /// report is identical for every sink/probe combination.
-    pub fn run_instrumented(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
-    ) -> ExecReport {
-        self.run_instrumented_with_workers(schedule, sink, probe, 1)
-    }
-
-    /// [`Engine::run_instrumented`] with intra-run parallelism: per-VPC cost
-    /// pricing — the hot part of an analytic run — is sharded across up to
-    /// `workers` scoped OS threads.
+    /// The sink receives one phase span per round (broadcast / compute /
+    /// collect timelines, [`pim_trace::Phase`]). The phase timeline is
+    /// *synthetic*: the closed forms compose per-round makespans, not
+    /// per-command start times, so spans carry the per-round phase
+    /// durations laid out according to the optimization level — one serial
+    /// clock for `Base`/`Distribute`, separate compute/transfer clocks
+    /// (both from zero) for `Unblock`, which is exactly the overlap
+    /// structure the closed form assumes.
     ///
     /// Determinism contract ("price, then compose"): pricing every VPC is a
     /// pure function of the engine configuration, so the parallel path first
@@ -384,21 +358,20 @@ impl Engine {
     /// probe sample, and every trace span therefore happens in the same
     /// order with the same operands as a serial run — the returned
     /// [`ExecReport`], attribution tree, and trace are byte-identical at any
-    /// worker count.
-    pub fn run_instrumented_with_workers(
+    /// worker count and for every sink/probe combination.
+    pub fn run(
         &self,
         schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
         workers: usize,
     ) -> ExecReport {
         if workers <= 1 {
-            return self.compose(schedule, sink, probe, &mut |req| self.price(req));
+            return self.compose(schedule, instruments, &mut |req| self.price(req));
         }
         let reqs = self.price_requests(schedule);
         let costs = rm_core::map_sharded(&reqs, workers, |_, req| self.price(*req));
         let mut cursor = 0usize;
-        self.compose(schedule, sink, probe, &mut |_req| {
+        self.compose(schedule, instruments, &mut |_req| {
             let c = costs[cursor];
             cursor += 1;
             c
@@ -412,19 +385,18 @@ impl Engine {
     /// as `cache_repriced_rows`).
     ///
     /// Because pricing is pure per key and the composition loop is the same
-    /// serial walk as [`Engine::run_instrumented`], the report — and every
+    /// serial walk as [`Engine::run`], the report — and every
     /// probe sample and trace span — is byte-identical to a cold run at any
     /// table state, provided the table was only ever fed by an engine with
     /// this configuration.
     pub fn run_repriced(
         &self,
         schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
         table: &mut PriceTable,
     ) -> (ExecReport, u64) {
         let misses_before = table.misses;
-        let report = self.compose(schedule, sink, probe, &mut |req| {
+        let report = self.compose(schedule, instruments, &mut |req| {
             let key = PriceKey::of(req);
             if let Some(&cost) = table.entries.get(&key) {
                 table.hits += 1;
@@ -472,10 +444,10 @@ impl Engine {
     fn compose(
         &self,
         schedule: &Schedule,
-        sink: &dyn TraceSink,
-        probe: &dyn Probe,
+        instruments: &Instruments,
         pricer: &mut dyn FnMut(PriceReq) -> VpcCost,
     ) -> ExecReport {
+        let Instruments { sink, probe } = *instruments;
         let mut report = ExecReport::new();
         // Accumulated compute-phase volumes (for breakdown attribution).
         let mut vol_proc = 0.0f64;
@@ -951,7 +923,7 @@ mod tests {
 
     fn run(opt: OptLevel) -> ExecReport {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
-        Engine::new(&cfg).run(&schedule(20, 256, 2000))
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &Instruments::NONE, 1)
     }
 
     #[test]
@@ -1009,7 +981,7 @@ mod tests {
     }
 
     fn run_with_config(cfg: StreamPimConfig) -> ExecReport {
-        Engine::new(&cfg).run(&schedule(20, 256, 2000))
+        Engine::new(&cfg).run(&schedule(20, 256, 2000), &Instruments::NONE, 1)
     }
 
     #[test]
@@ -1036,7 +1008,7 @@ mod tests {
                     }
                     s.push(round);
                 }
-                Engine::new(&cfg).run(&s).total_ns()
+                Engine::new(&cfg).run(&s, &Instruments::NONE, 1).total_ns()
             })
             .collect();
         assert!(times[0] > times[1] && times[1] > times[2], "{times:?}");
@@ -1059,7 +1031,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_free() {
         let cfg = StreamPimConfig::paper_default();
-        let r = Engine::new(&cfg).run(&Schedule::new());
+        let r = Engine::new(&cfg).run(&Schedule::new(), &Instruments::NONE, 1);
         assert_eq!(r.total_ns(), 0.0);
         assert_eq!(r.total_pj(), 0.0);
     }
@@ -1072,7 +1044,7 @@ mod tests {
             // Full-utilization rounds (4 VPCs per subarray), as real
             // kernel lowerings produce.
             let cfg = StreamPimConfig::paper_default().with_segment_domains(seg);
-            let r = Engine::new(&cfg).run(&schedule(20, 2048, 2600));
+            let r = Engine::new(&cfg).run(&schedule(20, 2048, 2600), &Instruments::NONE, 1);
             (r.total_ns(), r.total_pj())
         };
         let (t1024, e1024) = t(1024);
@@ -1089,8 +1061,15 @@ mod tests {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let engine = Engine::new(&cfg);
             let sink = pim_trace::Collector::new();
-            let plain = engine.run(&s);
-            let traced = engine.run_traced(&s, &sink);
+            let plain = engine.run(&s, &Instruments::NONE, 1);
+            let traced = engine.run(
+                &s,
+                &Instruments {
+                    sink: &sink,
+                    ..Instruments::NONE
+                },
+                1,
+            );
             assert_eq!(plain, traced, "sink must not perturb pricing ({opt:?})");
             assert!(sink.span_count() > 0, "phases should be recorded ({opt:?})");
         }
@@ -1101,7 +1080,14 @@ mod tests {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 32, 600);
         let sink = pim_trace::Collector::new();
-        let report = Engine::new(&cfg).run_traced(&s, &sink);
+        let report = Engine::new(&cfg).run(
+            &s,
+            &Instruments {
+                sink: &sink,
+                ..Instruments::NONE
+            },
+            1,
+        );
         let a = pim_trace::analyze::Analysis::of(&sink.spans());
         // Base is fully serial: compute and transfer never overlap, and the
         // phase spans tile [0, total] exactly (no controller floor here).
@@ -1120,7 +1106,14 @@ mod tests {
         let frac = |opt: OptLevel| {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let sink = pim_trace::Collector::new();
-            Engine::new(&cfg).run_traced(&s, &sink);
+            Engine::new(&cfg).run(
+                &s,
+                &Instruments {
+                    sink: &sink,
+                    ..Instruments::NONE
+                },
+                1,
+            );
             pim_trace::analyze::Analysis::of(&sink.spans()).overlap_fraction
         };
         let base = frac(OptLevel::Base);
@@ -1138,9 +1131,9 @@ mod tests {
         for opt in [OptLevel::Base, OptLevel::Distribute, OptLevel::Unblock] {
             let cfg = StreamPimConfig::paper_default().with_opt(opt);
             let engine = Engine::new(&cfg);
-            let serial = engine.run_instrumented(&s, &NullSink, &NullProbe);
+            let serial = engine.run(&s, &Instruments::NONE, 1);
             for workers in [2usize, 3, 7, 16] {
-                let par = engine.run_instrumented_with_workers(&s, &NullSink, &NullProbe, workers);
+                let par = engine.run(&s, &Instruments::NONE, workers);
                 assert_eq!(serial, par, "workers={workers} opt={opt:?}");
                 assert_eq!(
                     serial.total_ns().to_bits(),
@@ -1160,13 +1153,13 @@ mod tests {
 
             // Cold-prime the table on one shape.
             let s1 = schedule(8, 64, 1200);
-            let cold1 = engine.run(&s1);
-            let (warm1, fresh1) = engine.run_repriced(&s1, &NullSink, &NullProbe, &mut table);
+            let cold1 = engine.run(&s1, &Instruments::NONE, 1);
+            let (warm1, fresh1) = engine.run_repriced(&s1, &Instruments::NONE, &mut table);
             assert_eq!(cold1, warm1, "first repriced run ({opt:?})");
             assert!(fresh1 > 0, "first run must price rows fresh");
 
             // Same shape again: every row replays from the memo.
-            let (warm1b, fresh1b) = engine.run_repriced(&s1, &NullSink, &NullProbe, &mut table);
+            let (warm1b, fresh1b) = engine.run_repriced(&s1, &Instruments::NONE, &mut table);
             assert_eq!(cold1, warm1b);
             assert_eq!(fresh1b, 0, "identical schedule re-prices nothing");
 
@@ -1174,8 +1167,8 @@ mod tests {
             // dimension-dependent keys price fresh, and the report still
             // matches cold pricing bit-for-bit.
             let s2 = schedule(8, 64, 900);
-            let cold2 = engine.run(&s2);
-            let (warm2, fresh2) = engine.run_repriced(&s2, &NullSink, &NullProbe, &mut table);
+            let cold2 = engine.run(&s2, &Instruments::NONE, 1);
+            let (warm2, fresh2) = engine.run_repriced(&s2, &Instruments::NONE, &mut table);
             assert_eq!(cold2, warm2, "near-miss repriced run ({opt:?})");
             assert!(fresh2 > 0, "changed dimensions must re-price");
             assert!(
@@ -1219,13 +1212,27 @@ mod tests {
             let mut table = PriceTable::new();
             // Warm the table on the shape and on a near miss of it.
             let s = schedule(6, 48, 1100);
-            engine.run_repriced(&schedule(6, 48, 700), &NullSink, &NullProbe, &mut table);
-            engine.run_repriced(&s, &NullSink, &NullProbe, &mut table);
+            engine.run_repriced(&schedule(6, 48, 700), &Instruments::NONE, &mut table);
+            engine.run_repriced(&s, &Instruments::NONE, &mut table);
 
             let cold = AttributionProbe::new();
-            let cold_report = engine.run_instrumented(&s, &NullSink, &cold);
+            let cold_report = engine.run(
+                &s,
+                &Instruments {
+                    probe: &cold,
+                    ..Instruments::NONE
+                },
+                1,
+            );
             let warm = AttributionProbe::new();
-            let (warm_report, fresh) = engine.run_repriced(&s, &NullSink, &warm, &mut table);
+            let (warm_report, fresh) = engine.run_repriced(
+                &s,
+                &Instruments {
+                    probe: &warm,
+                    ..Instruments::NONE
+                },
+                &mut table,
+            );
             assert_eq!(fresh, 0, "warm table replays every row ({opt:?})");
             assert_eq!(cold_report, warm_report, "{opt:?}");
 
@@ -1264,11 +1271,24 @@ mod tests {
             };
 
         let analytic = AttributionProbe::new();
-        engine.run_instrumented(&s, &NullSink, &analytic);
+        engine.run(
+            &s,
+            &Instruments {
+                probe: &analytic,
+                ..Instruments::NONE
+            },
+            1,
+        );
         assert_eq!(records(analytic.into_tree()), want, "analytic engine");
 
         let event = AttributionProbe::new();
-        crate::engine_event::EventEngine::new(&cfg).run_profiled(&s, &event);
+        crate::engine_event::EventEngine::new(&cfg).run(
+            &s,
+            &Instruments {
+                probe: &event,
+                ..Instruments::NONE
+            },
+        );
         assert_eq!(records(event.into_tree()), want, "event engine");
     }
 
@@ -1279,7 +1299,7 @@ mod tests {
         assert!(table.is_empty());
         let s = schedule(2, 4, 500);
         let reqs = engine.price_requests(&s).len() as u64;
-        let (_, fresh) = engine.run_repriced(&s, &NullSink, &NullProbe, &mut table);
+        let (_, fresh) = engine.run_repriced(&s, &Instruments::NONE, &mut table);
         assert_eq!(table.misses(), fresh);
         assert_eq!(table.hits(), reqs - fresh);
         assert_eq!(table.len() as u64, fresh);

@@ -18,9 +18,10 @@
 
 use crate::device::{OptLevel, StreamPimConfig};
 use crate::engine::{Engine, ProbePaths};
+use crate::instruments::Instruments;
 use crate::schedule::Schedule;
 use crate::vpc::Vpc;
-use pim_trace::{Span, TraceSink, Track};
+use pim_trace::{Span, Track};
 use std::collections::HashMap;
 
 /// Explicit-timeline reference engine.
@@ -65,35 +66,40 @@ impl EventEngine {
     /// Runs `schedule` with explicit timelines, returning the makespan in
     /// nanoseconds and every command's interval.
     ///
+    /// One pass over the intervals feeds both instruments. The sink gets
+    /// one span per scheduled command: compute commands land on their
+    /// subarray's track, transfers on their lane's track, and every
+    /// command's decode slot on the decoder track; span arguments carry the
+    /// VPC kind and the per-command operation-counter deltas. The probe
+    /// gets per-component attribution: each transfer's interval and
+    /// counters on `bus/lane[k]`, each compute's on `device/subarray[s]`,
+    /// and every command's decode slot on `device/controller` — the same
+    /// component paths the analytic [`Engine::run`] uses, so profiles from
+    /// both engines diff against each other. The event engine prices no
+    /// energy, so samples carry counters and busy time only.
+    ///
     /// Repeat-compressed rounds are expanded, so keep schedules small
     /// (≲10⁵ commands).
-    pub fn run(&self, schedule: &Schedule) -> (f64, Vec<ScheduledVpc>) {
-        match self.opt {
+    pub fn run(&self, schedule: &Schedule, instruments: &Instruments) -> (f64, Vec<ScheduledVpc>) {
+        let (makespan, intervals) = match self.opt {
             OptLevel::Base => self.run_serial(schedule),
             OptLevel::Unblock => self.run_overlapped(schedule),
             OptLevel::Distribute => unreachable!("rejected in new()"),
+        };
+        let Instruments { sink, probe } = *instruments;
+        let (tracing, profiling) = (sink.enabled(), probe.enabled());
+        if !tracing && !profiling {
+            return (makespan, intervals);
         }
-    }
-
-    /// Runs `schedule` like [`EventEngine::run`], additionally emitting one
-    /// span per scheduled command into `sink`: compute commands land on
-    /// their subarray's track, transfers on their lane's track, and every
-    /// command's decode slot on the decoder track. Span arguments carry the
-    /// VPC kind and the per-command operation-counter deltas.
-    pub fn run_traced(
-        &self,
-        schedule: &Schedule,
-        sink: &dyn TraceSink,
-    ) -> (f64, Vec<ScheduledVpc>) {
-        let (makespan, intervals) = self.run(schedule);
-        if sink.enabled() {
-            // Decode slots serialize on the per-bank controllers; the model
-            // spreads them evenly over the lanes, so one aggregate decoder
-            // track shows slots of `controller_ns / lanes` back to back.
-            let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
-            for (i, sv) in intervals.iter().enumerate() {
-                let counters = self.analytic.vpc_counters(&sv.vpc);
-                let dur = sv.end_ns - sv.start_ns;
+        // Decode slots serialize on the per-bank controllers; the model
+        // spreads them evenly over the lanes, so one aggregate decoder
+        // track shows slots of `controller_ns / lanes` back to back.
+        let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
+        let mut paths = ProbePaths::default();
+        for (i, sv) in intervals.iter().enumerate() {
+            let counters = self.analytic.vpc_counters(&sv.vpc);
+            let dur = sv.end_ns - sv.start_ns;
+            if tracing {
                 let span = match sv.vpc {
                     Vpc::Tran { src, dst, len } => Span::sim(
                         format!("TRAN x{len}"),
@@ -135,30 +141,7 @@ impl EventEngine {
                     );
                 }
             }
-        }
-        (makespan, intervals)
-    }
-
-    /// Runs `schedule` like [`EventEngine::run`], additionally recording
-    /// per-component attribution on `probe`: each transfer's interval and
-    /// counters land on `bus/lane[k]`, each compute's on
-    /// `device/subarray[s]`, and every command's decode slot on
-    /// `device/controller` — the same component paths the analytic
-    /// [`crate::engine::Engine::run_profiled`] uses, so profiles from both
-    /// engines diff against each other. The event engine prices no energy,
-    /// so samples carry counters and busy time only.
-    pub fn run_profiled(
-        &self,
-        schedule: &Schedule,
-        probe: &dyn rm_core::Probe,
-    ) -> (f64, Vec<ScheduledVpc>) {
-        let (makespan, intervals) = self.run(schedule);
-        if probe.enabled() {
-            let decode_slot = self.controller_ns_per_vpc / self.tran_lanes as f64;
-            let mut paths = ProbePaths::default();
-            for sv in &intervals {
-                let ops = self.analytic.vpc_counters(&sv.vpc);
-                let busy = sv.end_ns - sv.start_ns;
+            if profiling {
                 let path = match sv.vpc {
                     Vpc::Tran { dst, .. } => paths.lane(dst as usize % self.tran_lanes),
                     compute => paths.subarray(compute.home_subarray().unwrap_or(0)),
@@ -166,9 +149,9 @@ impl EventEngine {
                 probe.record(
                     path,
                     rm_core::ProbeSample {
-                        ops,
+                        ops: counters,
                         energy: rm_core::EnergyBreakdown::default(),
-                        busy_ns: busy,
+                        busy_ns: dur,
                     },
                 );
                 if decode_slot > 0.0 {
@@ -353,8 +336,8 @@ mod tests {
     fn base_matches_analytic_exactly() {
         let cfg = StreamPimConfig::paper_default().with_opt(OptLevel::Base);
         let s = schedule(5, 64, 512);
-        let (event_ns, _) = EventEngine::new(&cfg).run(&s);
-        let analytic_ns = Engine::new(&cfg).run(&s).total_ns();
+        let (event_ns, _) = EventEngine::new(&cfg).run(&s, &Instruments::NONE);
+        let analytic_ns = Engine::new(&cfg).run(&s, &Instruments::NONE, 1).total_ns();
         assert!(
             (event_ns - analytic_ns).abs() / analytic_ns < 1e-9,
             "base is a plain sum: {event_ns} vs {analytic_ns}"
@@ -374,8 +357,8 @@ mod tests {
             (20, 32, 300, 0.55),
         ] {
             let s = schedule(rounds, computes, len);
-            let (event_ns, _) = EventEngine::new(&cfg).run(&s);
-            let analytic_ns = Engine::new(&cfg).run(&s).total_ns();
+            let (event_ns, _) = EventEngine::new(&cfg).run(&s, &Instruments::NONE);
+            let analytic_ns = Engine::new(&cfg).run(&s, &Instruments::NONE, 1).total_ns();
             let err = (event_ns - analytic_ns).abs() / analytic_ns;
             assert!(
                 err < tol,
@@ -388,7 +371,7 @@ mod tests {
     fn intervals_respect_resources() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
-        let (_, intervals) = EventEngine::new(&cfg).run(&s);
+        let (_, intervals) = EventEngine::new(&cfg).run(&s, &Instruments::NONE);
         // No two compute intervals on the same subarray overlap.
         let mut per_sub: HashMap<u32, Vec<(f64, f64)>> = HashMap::new();
         for sv in &intervals {
@@ -414,7 +397,7 @@ mod tests {
     fn collects_start_after_their_computes() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(2, 8, 400);
-        let (_, intervals) = EventEngine::new(&cfg).run(&s);
+        let (_, intervals) = EventEngine::new(&cfg).run(&s, &Instruments::NONE);
         let computes: Vec<&ScheduledVpc> =
             intervals.iter().filter(|sv| sv.vpc.is_compute()).collect();
         let collects: Vec<&ScheduledVpc> = intervals
@@ -440,11 +423,33 @@ mod tests {
     fn traced_run_covers_every_resource_class() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
+        let engine = EventEngine::new(&cfg);
         let sink = pim_trace::Collector::new();
-        let (traced_ns, intervals) = EventEngine::new(&cfg).run_traced(&s, &sink);
-        let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
+        let (traced_ns, intervals) = engine.run(
+            &s,
+            &Instruments {
+                sink: &sink,
+                ..Instruments::NONE
+            },
+        );
+        let (plain_ns, _) = engine.run(&s, &Instruments::NONE);
         assert_eq!(traced_ns, plain_ns, "sink must not perturb the makespan");
         let spans = sink.spans();
+        // A probe riding along must not change the makespan or the spans.
+        let both = pim_trace::Collector::new();
+        let probe = pim_profile::AttributionProbe::new();
+        let (both_ns, _) = engine.run(
+            &s,
+            &Instruments {
+                sink: &both,
+                probe: &probe,
+            },
+        );
+        assert_eq!(
+            both_ns, plain_ns,
+            "sink + probe must not perturb the makespan"
+        );
+        assert_eq!(both.spans(), spans, "a probe must not change the spans");
         // One span per scheduled command plus one decode span per command.
         assert_eq!(spans.len(), 2 * intervals.len());
         for class in ["subarray", "lane", "decoder"] {
@@ -485,11 +490,36 @@ mod tests {
 
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(3, 16, 500);
+        let engine = EventEngine::new(&cfg);
         let probe = MapProbe::default();
-        let (profiled_ns, intervals) = EventEngine::new(&cfg).run_profiled(&s, &probe);
-        let (plain_ns, _) = EventEngine::new(&cfg).run(&s);
+        let (profiled_ns, intervals) = engine.run(
+            &s,
+            &Instruments {
+                probe: &probe,
+                ..Instruments::NONE
+            },
+        );
+        let (plain_ns, _) = engine.run(&s, &Instruments::NONE);
         assert_eq!(profiled_ns, plain_ns, "probe must not perturb the makespan");
         let map = probe.0.lock().unwrap();
+        // A sink riding along must not change the makespan or the samples.
+        let both = MapProbe::default();
+        let (both_ns, _) = engine.run(
+            &s,
+            &Instruments {
+                sink: &pim_trace::Collector::new(),
+                probe: &both,
+            },
+        );
+        assert_eq!(
+            both_ns, plain_ns,
+            "sink + probe must not perturb the makespan"
+        );
+        assert_eq!(
+            *both.0.lock().unwrap(),
+            *map,
+            "a sink must not change the samples"
+        );
         // One sample per command on its component, one decode per command.
         let command_samples: u64 = map
             .iter()
@@ -514,8 +544,7 @@ mod tests {
     fn traced_run_with_null_sink_records_nothing() {
         let cfg = StreamPimConfig::paper_default();
         let s = schedule(2, 8, 300);
-        let sink = pim_trace::NullSink;
-        let (ns, intervals) = EventEngine::new(&cfg).run_traced(&s, &sink);
+        let (ns, intervals) = EventEngine::new(&cfg).run(&s, &Instruments::NONE);
         assert!(ns > 0.0);
         assert!(!intervals.is_empty());
     }

@@ -19,6 +19,8 @@
 //! * [`task`] — the `PimTask` programming interface (paper Figure 16) plus
 //!   functionally-correct execution of the matrix operations;
 //! * [`device`] — [`device::StreamPim`]: configuration + entry points;
+//! * [`instruments`] — [`Instruments`], the trace sink + attribution probe
+//!   pair every layer's run accepts;
 //! * [`report`] — execution reports (time/energy breakdowns);
 //! * [`area`] — the §V-G area-overhead model;
 //! * [`controller`] — the VPC queue with asynchronous send-response
@@ -38,6 +40,7 @@ pub mod engine_event;
 pub mod error;
 pub mod expr;
 pub mod flow;
+pub mod instruments;
 pub mod matrix;
 pub mod placement;
 pub mod report;
@@ -48,6 +51,7 @@ pub mod vpc;
 pub use device::{OptLevel, Parallelism, StreamPim, StreamPimConfig};
 pub use engine::PriceTable;
 pub use error::PimError;
+pub use instruments::Instruments;
 pub use report::ExecReport;
 pub use task::{MatrixOp, PimTask, ShapeTask, TaskOutcome};
 pub use vpc::{VecRef, Vpc, VpcTrace};

@@ -23,6 +23,7 @@
 
 use crate::device::StreamPim;
 use crate::error::PimError;
+use crate::instruments::Instruments;
 use crate::matrix::Matrix;
 use crate::placement::Placement;
 use crate::report::ExecReport;
@@ -211,7 +212,7 @@ impl ShapeTask {
     ///
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn price(&self, device: &StreamPim) -> Result<ExecReport> {
-        Ok(device.execute(&self.lower(device)?))
+        Ok(device.execute(&self.lower(device)?, &Instruments::NONE))
     }
 
     fn lower_op(
@@ -567,7 +568,7 @@ impl PimTask {
     ///
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn price(&self, device: &StreamPim) -> Result<ExecReport> {
-        Ok(device.execute(&self.lower(device)?))
+        Ok(device.execute(&self.lower(device)?, &Instruments::NONE))
     }
 
     /// Runs the task on `device` (paper's `task.run()`): lowers, prices and
@@ -578,7 +579,7 @@ impl PimTask {
     /// Returns [`PimError::EmptyTask`] if no operations were added.
     pub fn run(&self, device: &StreamPim) -> Result<TaskOutcome> {
         let schedule = self.lower(device)?;
-        let report = device.execute(&schedule);
+        let report = device.execute(&schedule, &Instruments::NONE);
         // Functional execution in program order.
         let mut matrices = self.matrices.clone();
         for &op in &self.ops {

@@ -8,7 +8,7 @@ use pim_device::matrix::Matrix;
 use pim_device::schedule::{Round, Schedule};
 use pim_device::task::{MatrixOp, PimTask};
 use pim_device::vpc::{VecRef, Vpc};
-use pim_device::{OptLevel, Parallelism, StreamPim, StreamPimConfig};
+use pim_device::{Instruments, OptLevel, Parallelism, StreamPim, StreamPimConfig};
 use pim_trace::{Collector, Track};
 use proptest::prelude::*;
 
@@ -123,7 +123,7 @@ proptest! {
             r.computes.push(Vpc::Mul { src1: VecRef::new(0, len), src2: VecRef::new(0, len) });
             r.collects.push(Vpc::Tran { src: 0, dst: 1, len: 1 });
             s.push(r);
-            dev.execute(&s)
+            dev.execute(&s, &Instruments::NONE)
         };
         let base = mk(len, repeat);
         let longer = mk(len + 64, repeat);
@@ -144,7 +144,7 @@ proptest! {
             let mut r = Round::new().repeated(repeat);
             r.computes.push(Vpc::Mul { src1: VecRef::new(3, len), src2: VecRef::new(3, len) });
             s.push(r);
-            dev.execute(&s).total_pj()
+            dev.execute(&s, &Instruments::NONE).total_pj()
         };
         let e1 = mk(repeat);
         let e2 = mk(2 * repeat);
@@ -183,7 +183,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        EventEngine::new(&cfg).run_traced(&s, &sink);
+        EventEngine::new(&cfg).run(&s, &Instruments { sink: &sink, ..Instruments::NONE });
         let mut per_track: std::collections::HashMap<Track, Vec<(f64, f64)>> =
             std::collections::HashMap::new();
         for sp in sink.spans() {
@@ -217,7 +217,7 @@ proptest! {
         let cfg = StreamPimConfig::paper_default().with_opt(opt);
         let s = event_schedule(rounds, computes, len);
         let sink = Collector::new();
-        let (makespan, _) = EventEngine::new(&cfg).run_traced(&s, &sink);
+        let (makespan, _) = EventEngine::new(&cfg).run(&s, &Instruments { sink: &sink, ..Instruments::NONE });
         let lanes = cfg.device.pim_banks.max(1) as f64;
         let floor = s.counts().total() as f64 * cfg.engine.controller_ns_per_vpc / lanes;
         let latest = sink
@@ -230,7 +230,7 @@ proptest! {
             "span ends {} / floor {} vs makespan {} ({:?})", latest, floor, makespan, opt
         );
         if opt == OptLevel::Base {
-            let analytic = Engine::new(&cfg).run(&s).total_ns();
+            let analytic = Engine::new(&cfg).run(&s, &Instruments::NONE, 1).total_ns();
             prop_assert!(
                 (makespan - analytic).abs() <= 1e-9 * analytic.max(1.0),
                 "base event makespan {} != analytic {}", makespan, analytic

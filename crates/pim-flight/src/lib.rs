@@ -19,12 +19,13 @@
 //!
 //! ## Determinism contract
 //!
-//! The recorder only *observes*. Taps ride the instrumented repriced fast
-//! path (`Engine::run_repriced` is byte-identical instrumented or not), so
-//! simulated reports are byte-identical with the recorder on, off, or mid
-//! eviction — the serving determinism suite pins this. Retention decisions
-//! themselves are a pure function of the observation stream: given the
-//! same sequence of [`JobObservation`]s, the same records are retained.
+//! The recorder only *observes*. Taps ride the repriced fast path as
+//! [`FlightTap::instruments`] (`Engine::run_repriced` is byte-identical
+//! for every `Instruments`), so simulated reports are byte-identical with
+//! the recorder on, off, or mid eviction — the serving determinism suite
+//! pins this. Retention decisions themselves are a pure function of the
+//! observation stream: given the same sequence of [`JobObservation`]s, the
+//! same records are retained.
 
 pub mod cluster;
 pub mod health;

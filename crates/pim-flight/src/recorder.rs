@@ -8,6 +8,7 @@ use crate::record::{
 };
 use crate::reservoir::LatencyReservoir;
 use pim_profile::{AttributionProbe, Profile};
+use pim_runtime::Instruments;
 use pim_trace::Collector;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -76,6 +77,14 @@ impl FlightTap {
         FlightTap {
             collector: Collector::with_capacity(trace_capacity),
             probe: AttributionProbe::new(),
+        }
+    }
+
+    /// The tap as the [`Instruments`] a run is observed by.
+    pub fn instruments(&self) -> Instruments<'_> {
+        Instruments {
+            sink: &self.collector,
+            probe: &self.probe,
         }
     }
 }

@@ -8,7 +8,7 @@
 use pim_baselines::platform::{Platform, PlatformKind, Workload};
 use pim_device::schedule::Round;
 use pim_device::vpc::{VecRef, Vpc};
-use pim_device::{StreamPim, StreamPimConfig};
+use pim_device::{Instruments, StreamPim, StreamPimConfig};
 use pim_profile::AttributionProbe;
 use pim_workloads::polybench::Kernel;
 use proptest::prelude::*;
@@ -43,7 +43,7 @@ proptest! {
         let platform = Platform::new(kind).unwrap();
         let probe = AttributionProbe::new();
         let report = platform
-            .run_with_schedule_profiled(&workload, None, &probe)
+            .run_instrumented(&workload, None, &Instruments { probe: &probe, ..Instruments::NONE })
             .unwrap();
         let tree = probe.into_tree();
         prop_assert!(!tree.is_empty(), "{kind}: nothing attributed");
@@ -60,7 +60,7 @@ proptest! {
         let platform = Platform::new(PlatformKind::StPim).unwrap();
         let probe = AttributionProbe::new();
         platform
-            .run_with_schedule_profiled(&workload, None, &probe)
+            .run_instrumented(&workload, None, &Instruments { probe: &probe, ..Instruments::NONE })
             .unwrap();
         let tree = probe.into_tree();
         let sum = tree.exclusive_sum();
@@ -100,8 +100,14 @@ fn engine_profile_covers_all_component_classes() {
     }
     let device = StreamPim::new(StreamPimConfig::paper_default()).unwrap();
     let probe = AttributionProbe::new();
-    let report = device.execute_profiled(&schedule, &probe);
-    let plain = device.execute(&schedule);
+    let report = device.execute(
+        &schedule,
+        &Instruments {
+            probe: &probe,
+            ..Instruments::NONE
+        },
+    );
+    let plain = device.execute(&schedule, &Instruments::NONE);
     assert_eq!(report, plain, "profiling must not change the report");
 
     let tree = probe.into_tree();

@@ -48,7 +48,9 @@ pub use job::Job;
 // the spec types so they don't need a direct pim-cluster dependency.
 pub use metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot, TenantMetrics};
 pub use pim_cluster::{ClusterSpec, PartitionStrategy};
+// `Runtime::run_batch_instrumented` takes the device layer's observer pair;
+// re-export it for the same reason.
+pub use pim_device::Instruments;
 pub use runtime::{
-    intra_worker_budget, BatchResult, CacheDisposition, JobInstruments, JobOutcome, Runtime,
-    RuntimeConfig,
+    intra_worker_budget, BatchResult, CacheDisposition, JobOutcome, Runtime, RuntimeConfig,
 };

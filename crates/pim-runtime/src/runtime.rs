@@ -5,7 +5,7 @@ use crate::executor;
 use crate::job::Job;
 use crate::metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot};
 use pim_baselines::{Platform, Workload};
-use pim_device::{ExecReport, Parallelism, PriceTable, StreamPim};
+use pim_device::{ExecReport, Instruments, Parallelism, PriceTable, StreamPim};
 use pim_trace::{Event, NullSink, Span, TraceSink, Track};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,42 +57,6 @@ pub fn intra_worker_budget(
     match intra {
         Parallelism::Auto => (total_threads / batch_workers.max(1)).max(1),
         other => other.resolve(total_threads),
-    }
-}
-
-/// Per-job observers threaded through [`Runtime::run_batch_instrumented`]:
-/// every job in the batch records its host job span, cache instants and
-/// full simulated timeline into `sink`, and its component attribution into
-/// `probe` — in addition to the runtime's own batch-level sink. With null
-/// instruments this is exactly [`Runtime::run_batch`]; the repriced fast
-/// path stays engaged either way (see
-/// [`pim_baselines::Platform::run_schedule_repriced_instrumented`]), so
-/// always-on observers add no simulation work.
-#[derive(Clone, Copy)]
-pub struct JobInstruments<'a> {
-    /// Receives host job/lowering spans, cache instants, and the job's
-    /// simulated timeline.
-    pub sink: &'a dyn TraceSink,
-    /// Receives per-component attribution samples.
-    pub probe: &'a dyn rm_core::Probe,
-}
-
-impl JobInstruments<'_> {
-    /// Disabled instruments (the [`Runtime::run_batch`] behavior).
-    pub fn disabled() -> JobInstruments<'static> {
-        JobInstruments {
-            sink: &NullSink,
-            probe: &rm_core::NullProbe,
-        }
-    }
-}
-
-impl std::fmt::Debug for JobInstruments<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobInstruments")
-            .field("sink_enabled", &self.sink.enabled())
-            .field("probe_enabled", &self.probe.enabled())
-            .finish()
     }
 }
 
@@ -276,20 +240,23 @@ impl Runtime {
     /// carries a "runtime is draining" error and nothing is recorded in
     /// the metrics registry (the jobs were never admitted).
     pub fn run_batch(&self, jobs: &[Job]) -> BatchResult {
-        self.run_batch_instrumented(jobs, &JobInstruments::disabled())
-            .0
+        self.run_batch_instrumented(jobs, &Instruments::NONE).0
     }
 
-    /// [`Runtime::run_batch`] with per-job observers attached: spans,
-    /// cache instants and the simulated timeline also land in
-    /// `instruments.sink`, attribution in `instruments.probe`, and each
-    /// job's [`CacheDisposition`] is returned index-aligned with the
-    /// outcomes. The outcomes themselves are byte-identical to
-    /// [`Runtime::run_batch`] — instruments observe, never steer.
+    /// [`Runtime::run_batch`] with per-job observers attached: every job
+    /// records its host job/lowering spans, cache instants and full
+    /// simulated timeline into `instruments.sink` (in addition to the
+    /// runtime's own batch-level sink) and its component attribution into
+    /// `instruments.probe`, and each job's [`CacheDisposition`] is returned
+    /// index-aligned with the outcomes. The outcomes themselves are
+    /// byte-identical to [`Runtime::run_batch`] — instruments observe,
+    /// never steer. The repriced fast path stays engaged either way (see
+    /// [`Platform::run_schedule_repriced_instrumented`]), so always-on
+    /// observers add no simulation work.
     pub fn run_batch_instrumented(
         &self,
         jobs: &[Job],
-        instruments: &JobInstruments<'_>,
+        instruments: &Instruments,
     ) -> (BatchResult, Vec<CacheDisposition>) {
         {
             let mut intake = self.intake.lock().expect("intake lock");
@@ -324,7 +291,7 @@ impl Runtime {
     fn run_batch_inner(
         &self,
         jobs: &[Job],
-        instruments: &JobInstruments<'_>,
+        instruments: &Instruments,
     ) -> (BatchResult, Vec<CacheDisposition>) {
         let n = jobs.len();
         let slots: Vec<Mutex<Option<(JobOutcome, CacheDisposition)>>> =
@@ -435,7 +402,7 @@ impl Runtime {
         &self,
         job: &Job,
         worker: usize,
-        instruments: &JobInstruments<'_>,
+        instruments: &Instruments,
     ) -> (Result<ExecReport, pim_device::PimError>, CacheDisposition) {
         let unprobed = CacheDisposition::default();
         // Multi-device cluster jobs take the cluster path: each device
@@ -461,7 +428,7 @@ impl Runtime {
             _ => {
                 let workload = Workload::from_spec(&job.workload);
                 return (
-                    platform.run_instrumented(&workload, None, instruments.sink, instruments.probe),
+                    platform.run_instrumented(&workload, None, instruments),
                     unprobed,
                 );
             }
@@ -536,12 +503,9 @@ impl Runtime {
             Some(table) => (table, true),
             None => (PriceTable::new(), false),
         };
-        if let Some((report, fresh)) = platform.run_schedule_repriced_instrumented(
-            &schedule,
-            &mut table,
-            instruments.sink,
-            instruments.probe,
-        ) {
+        if let Some((report, fresh)) =
+            platform.run_schedule_repriced_instrumented(&schedule, &mut table, instruments)
+        {
             use std::collections::hash_map::Entry;
             match self.reprice.lock().expect("reprice lock").entry(shape_key) {
                 // Another worker re-seeded the shape while we ran: merge
@@ -574,12 +538,7 @@ impl Runtime {
         // Closed-form PIM baselines: schedule-driven but not repriced.
         let workload = Workload::from_spec(&job.workload);
         (
-            platform.run_instrumented(
-                &workload,
-                Some(&schedule),
-                instruments.sink,
-                instruments.probe,
-            ),
+            platform.run_instrumented(&workload, Some(&schedule), instruments),
             cache,
         )
     }
@@ -593,7 +552,7 @@ impl Runtime {
         &self,
         job: &Job,
         spec: pim_cluster::ClusterSpec,
-        instruments: &JobInstruments<'_>,
+        instruments: &Instruments,
     ) -> Result<ExecReport, pim_device::PimError> {
         spec.validate()?;
         let device = job.effective_config().ok_or_else(|| {
@@ -608,13 +567,8 @@ impl Runtime {
             interconnect: pim_cluster::InterconnectParams::paper_default(),
         };
         let cluster = pim_cluster::Cluster::new(config)?.with_parallelism(self.intra_budget());
-        let report = cluster.run_instrumented(
-            &job.workload,
-            spec.strategy,
-            spec.batch,
-            instruments.sink,
-            instruments.probe,
-        )?;
+        let report =
+            cluster.run_instrumented(&job.workload, spec.strategy, spec.batch, instruments)?;
         Ok(report.combined)
     }
 

@@ -36,11 +36,11 @@ use crate::http::{client_request, read_request, ParseError, Request, Response};
 use crate::meter::{Ledger, MeterConfig};
 use crate::queue::TenantQueues;
 use pim_device::Parallelism;
-use pim_flight::{FaultTally, FlightConfig, FlightRecorder, JobObservation};
+use pim_flight::{FaultTally, FlightConfig, FlightRecorder, FlightTap, JobObservation};
 use pim_obs::{
     prom, EventLog, EventLogConfig, Level, Registry, RequestIdSource, SloConfig, SloTracker,
 };
-use pim_runtime::{intra_worker_budget, Job, JobInstruments, Runtime, RuntimeConfig};
+use pim_runtime::{intra_worker_budget, Instruments, Job, Runtime, RuntimeConfig};
 use pim_trace::{NullSink, Span, TraceSink, Track, ATTR_REQUEST_ID};
 use rm_core::WearTracker;
 use std::collections::HashMap;
@@ -379,19 +379,12 @@ impl Core {
             // byte-for-byte).
             let tap = self.flight.begin();
             let started = Instant::now();
-            let (batch, dispositions) = match &tap {
-                Some(tap) => self.runtime.run_batch_instrumented(
-                    std::slice::from_ref(&job),
-                    &JobInstruments {
-                        sink: &tap.collector,
-                        probe: &tap.probe,
-                    },
-                ),
-                None => self.runtime.run_batch_instrumented(
-                    std::slice::from_ref(&job),
-                    &JobInstruments::disabled(),
-                ),
-            };
+            let instruments = tap
+                .as_ref()
+                .map_or(Instruments::NONE, FlightTap::instruments);
+            let (batch, dispositions) = self
+                .runtime
+                .run_batch_instrumented(std::slice::from_ref(&job), &instruments);
             let outcome = batch.outcomes.into_iter().next().expect("one outcome");
             let cache = dispositions.into_iter().next().unwrap_or_default();
             let elapsed_ns = started.elapsed().as_nanos() as u64;

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use streampim::pim_baselines::platform::PlatformKind;
 use streampim::pim_device::engine::Engine;
 use streampim::pim_device::engine_event::EventEngine;
-use streampim::pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use streampim::pim_device::{Instruments, OptLevel, StreamPim, StreamPimConfig};
 use streampim::pim_runtime::{Job, Runtime, RuntimeConfig};
 use streampim::pim_trace::analyze::Analysis;
 use streampim::pim_trace::{chrome, Collector, TraceSink};
@@ -67,18 +67,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let sink = Collector::new();
+    let traced = Instruments {
+        sink: &sink,
+        ..Instruments::NONE
+    };
 
     // Simulated timelines: the operational engine's per-command spans
     // (subarray / transfer-lane / decoder tracks) ...
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
+    EventEngine::new(&cfg).run(&schedule, &traced);
     // ... plus the analytic engine's phase spans for the same schedule.
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    Engine::new(&cfg).run(&schedule, &traced, 1);
 
     // The analytic overlap comparison (Figure 22's mechanism): same
     // schedule, optimizations off vs on.
     let overlap = |opt: OptLevel| {
         let c = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &c);
+        let traced = Instruments {
+            sink: &c,
+            ..Instruments::NONE
+        };
+        Engine::new(&cfg.clone().with_opt(opt)).run(&schedule, &traced, 1);
         Analysis::of(&c.spans()).overlap_fraction
     };
     let overlap_base = overlap(OptLevel::Base);

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use streampim::pim_device::flow::DeviceFlow;
 use streampim::pim_device::schedule::{Round, Schedule};
 use streampim::pim_device::vpc::{VecRef, Vpc};
-use streampim::pim_device::{OptLevel, Parallelism, StreamPim, StreamPimConfig};
+use streampim::pim_device::{Instruments, OptLevel, Parallelism, StreamPim, StreamPimConfig};
 use streampim::pim_profile::AttributionProbe;
 use streampim::pim_trace::analyze::Analysis;
 use streampim::pim_trace::Collector;
@@ -45,12 +45,12 @@ fn engine_reports_are_bit_identical_at_any_worker_count() {
         let device = StreamPim::new(StreamPimConfig::paper_default().with_opt(opt)).expect("valid");
         for kernel in [Kernel::Gemm, Kernel::Atax] {
             let schedule = lowered(kernel, &device);
-            let baseline = device.execute(&schedule);
+            let baseline = device.execute(&schedule, &Instruments::NONE);
             for &workers in &worker_counts() {
                 let report = device
                     .clone()
                     .with_parallelism(Parallelism::Threads(workers))
-                    .execute(&schedule);
+                    .execute(&schedule, &Instruments::NONE);
                 assert_eq!(report, baseline, "{kernel} {opt:?} x{workers}");
                 // PartialEq on f64 is weaker than bit equality (-0.0, NaN);
                 // the contract is byte-identical reports.
@@ -74,14 +74,26 @@ fn attribution_trees_are_identical_at_any_worker_count() {
     let device = StreamPim::new(StreamPimConfig::paper_default()).expect("valid");
     let schedule = lowered(Kernel::Gemm, &device);
     let probe = AttributionProbe::new();
-    let baseline_report = device.execute_profiled(&schedule, &probe);
+    let baseline_report = device.execute(
+        &schedule,
+        &Instruments {
+            probe: &probe,
+            ..Instruments::NONE
+        },
+    );
     let baseline_tree = probe.into_tree();
     for &workers in &worker_counts() {
         let probe = AttributionProbe::new();
         let report = device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_profiled(&schedule, &probe);
+            .execute(
+                &schedule,
+                &Instruments {
+                    probe: &probe,
+                    ..Instruments::NONE
+                },
+            );
         assert_eq!(report, baseline_report, "report x{workers}");
         assert_eq!(probe.into_tree(), baseline_tree, "tree x{workers}");
     }
@@ -92,7 +104,13 @@ fn trace_analyses_are_identical_at_any_worker_count() {
     let device = StreamPim::new(StreamPimConfig::paper_default()).expect("valid");
     let schedule = lowered(Kernel::Mvt, &device);
     let sink = Collector::new();
-    device.execute_traced(&schedule, &sink);
+    device.execute(
+        &schedule,
+        &Instruments {
+            sink: &sink,
+            ..Instruments::NONE
+        },
+    );
     let baseline_spans = sink.spans();
     let baseline = Analysis::of(&baseline_spans);
     for &workers in &worker_counts() {
@@ -100,7 +118,13 @@ fn trace_analyses_are_identical_at_any_worker_count() {
         device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_traced(&schedule, &sink);
+            .execute(
+                &schedule,
+                &Instruments {
+                    sink: &sink,
+                    ..Instruments::NONE
+                },
+            );
         let spans = sink.spans();
         assert_eq!(spans, baseline_spans, "span stream x{workers}");
         assert_eq!(Analysis::of(&spans), baseline, "analysis x{workers}");
@@ -154,13 +178,19 @@ fn observed_runs_are_bit_identical_to_unobserved_runs() {
     // Device level: tracing into a live collector changes nothing.
     let device = StreamPim::new(StreamPimConfig::paper_default()).expect("valid");
     let schedule = lowered(Kernel::Gemm, &device);
-    let bare = device.execute(&schedule);
+    let bare = device.execute(&schedule, &Instruments::NONE);
     for &workers in &worker_counts() {
         let sink = Collector::new();
         let traced = device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute_traced(&schedule, &sink);
+            .execute(
+                &schedule,
+                &Instruments {
+                    sink: &sink,
+                    ..Instruments::NONE
+                },
+            );
         assert_eq!(traced, bare, "traced report x{workers}");
         assert_eq!(
             traced.total_ns().to_bits(),
@@ -252,11 +282,11 @@ proptest! {
         let device =
             StreamPim::new(StreamPimConfig::paper_default().with_opt(opt)).expect("valid");
         let schedule = synthetic_schedule(rounds, computes, len, repeat);
-        let baseline = device.execute(&schedule);
+        let baseline = device.execute(&schedule, &Instruments::NONE);
         let report = device
             .clone()
             .with_parallelism(Parallelism::Threads(workers))
-            .execute(&schedule);
+            .execute(&schedule, &Instruments::NONE);
         prop_assert_eq!(&report, &baseline);
         prop_assert_eq!(report.total_ns().to_bits(), baseline.total_ns().to_bits());
         prop_assert_eq!(

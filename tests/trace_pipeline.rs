@@ -8,7 +8,7 @@ use streampim::pim_baselines::platform::PlatformKind;
 use streampim::pim_device::engine::Engine;
 use streampim::pim_device::engine_event::EventEngine;
 use streampim::pim_device::schedule::Schedule;
-use streampim::pim_device::{OptLevel, StreamPim, StreamPimConfig};
+use streampim::pim_device::{Instruments, OptLevel, StreamPim, StreamPimConfig};
 use streampim::pim_runtime::{Job, Runtime, RuntimeConfig};
 use streampim::pim_trace::analyze::Analysis;
 use streampim::pim_trace::{chrome, Collector, NullSink, TraceSink};
@@ -31,8 +31,12 @@ fn lowered(kernel: Kernel, scale: f64) -> (StreamPimConfig, Schedule) {
 fn full_trace(kernel: Kernel, scale: f64) -> Collector {
     let (cfg, schedule) = lowered(kernel, scale);
     let sink = Collector::new();
-    EventEngine::new(&cfg).run_traced(&schedule, &sink);
-    Engine::new(&cfg).run_traced(&schedule, &sink);
+    let traced = Instruments {
+        sink: &sink,
+        ..Instruments::NONE
+    };
+    EventEngine::new(&cfg).run(&schedule, &traced);
+    Engine::new(&cfg).run(&schedule, &traced, 1);
 
     let host: Arc<Collector> = Arc::new(Collector::new());
     let runtime = Runtime::with_sink(
@@ -123,7 +127,11 @@ fn unblock_overlap_strictly_exceeds_base() {
     let (cfg, schedule) = lowered(Kernel::Gemm, 0.02);
     let overlap = |opt: OptLevel| {
         let sink = Collector::new();
-        Engine::new(&cfg.clone().with_opt(opt)).run_traced(&schedule, &sink);
+        let traced = Instruments {
+            sink: &sink,
+            ..Instruments::NONE
+        };
+        Engine::new(&cfg.clone().with_opt(opt)).run(&schedule, &traced, 1);
         Analysis::of(&sink.spans()).overlap_fraction
     };
     let base = overlap(OptLevel::Base);
@@ -144,9 +152,21 @@ fn unblock_overlap_strictly_exceeds_base() {
 fn disabled_tracing_changes_no_report() {
     let (cfg, schedule) = lowered(Kernel::Gemm, 0.02);
     let device = StreamPim::new(cfg).unwrap();
-    let plain = device.execute(&schedule);
-    let null_traced = device.execute_traced(&schedule, &NullSink);
-    let collected = device.execute_traced(&schedule, &Collector::new());
+    let plain = device.execute(&schedule, &Instruments::NONE);
+    let null_traced = device.execute(
+        &schedule,
+        &Instruments {
+            sink: &NullSink,
+            ..Instruments::NONE
+        },
+    );
+    let collected = device.execute(
+        &schedule,
+        &Instruments {
+            sink: &Collector::new(),
+            ..Instruments::NONE
+        },
+    );
     assert_eq!(plain, null_traced);
     assert_eq!(plain, collected);
 
