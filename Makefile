@@ -35,9 +35,11 @@ determinism:
 
 # Wide-kernel differential suites with the portable fallback forced:
 # proves the scalar/word/wide equivalences hold on the exact code path a
-# machine without the detected SIMD features would run.
+# machine without the detected SIMD features would run, and pins that
+# path's functional flow to the recorded golden output.
 wide-smoke:
 	STREAMPIM_WIDE_PORTABLE=1 $(CARGO) test -q -p rm-core -p dw-logic -p rm-proc -p rm-bus -p pim-device --test proptests
+	STREAMPIM_WIDE_PORTABLE=1 $(CARGO) test -q -p pim-device --test flow_golden
 
 # Benches and examples must stay compilable even when not run.
 bench-build:

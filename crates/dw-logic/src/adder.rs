@@ -2,6 +2,7 @@
 
 use crate::cost::GateTally;
 use crate::gate::{lane_mask, nand, nand_words};
+use rm_core::wide::GROUP_WORDS;
 use serde::{Deserialize, Serialize};
 
 /// The 1-bit full adder built from nine domain-wall NAND gates, exactly as
@@ -179,48 +180,53 @@ impl RippleCarryAdder {
         (sum, carry)
     }
 
-    /// Word-group sibling of [`Self::add_planes`]: each bit plane is a group
-    /// of `group_words` lane-words, flattened plane-major (`a[i * group_words
-    /// ..]` is plane `i`), covering `lanes` total lanes. The carry still
-    /// ripples plane-to-plane while each plane step adds every lane at once;
-    /// results and tallies are bit-identical to per-word [`Self::add_planes`]
-    /// calls over the same lane-word columns because lanes never interact
-    /// across words.
+    /// Word-group sibling of [`Self::add_planes`], accumulating in place:
+    /// each bit plane is a group of `group_words` lane-words, flattened
+    /// plane-major (`acc[i * group_words..]` is plane `i`), covering `lanes`
+    /// total lanes, and the sum overwrites `acc`. The carry ripples
+    /// plane-to-plane in stack buffers while each plane step adds every lane
+    /// at once; results and tallies are bit-identical to per-word
+    /// [`Self::add_planes`] calls over the same lane-word columns because
+    /// lanes never interact across words.
     ///
-    /// Returns the flattened sum planes and the carry-out word group.
+    /// Returns the carry-out word group in the first `group_words` words.
     ///
     /// # Panics
     ///
-    /// Panics if the operand lengths are not `width * group_words` or
-    /// `group_words` is not exactly `ceil(lanes / 64)`.
+    /// Panics if the operand lengths are not `width * group_words`,
+    /// `group_words` exceeds [`GROUP_WORDS`], or `group_words` is not exactly
+    /// `ceil(lanes / 64)`.
     pub fn add_planes_group(
         &self,
-        a: &[u64],
+        acc: &mut [u64],
         b: &[u64],
         group_words: usize,
         lanes: u64,
         tally: &mut GateTally,
-    ) -> (Vec<u64>, Vec<u64>) {
+    ) -> [u64; GROUP_WORDS] {
         let w = self.width as usize;
-        assert_eq!(a.len(), w * group_words, "operand a plane-group length");
-        assert_eq!(b.len(), w * group_words, "operand b plane-group length");
-        let mut carry = vec![0u64; group_words];
-        let mut carry_next = vec![0u64; group_words];
-        let mut sum = vec![0u64; w * group_words];
+        let g = group_words;
+        assert_eq!(acc.len(), w * g, "operand a plane-group length");
+        assert_eq!(b.len(), w * g, "operand b plane-group length");
+        assert!(g <= GROUP_WORDS, "at most {GROUP_WORDS} words per group");
+        let mut carry = [0u64; GROUP_WORDS];
+        let mut carry_next = [0u64; GROUP_WORDS];
+        let mut sum = [0u64; GROUP_WORDS];
         for i in 0..w {
-            let span = i * group_words..(i + 1) * group_words;
+            let span = i * g..(i + 1) * g;
             FullAdder.add_words_group(
-                &a[span.clone()],
+                &acc[span.clone()],
                 &b[span.clone()],
-                &carry,
-                &mut sum[span],
-                &mut carry_next,
+                &carry[..g],
+                &mut sum[..g],
+                &mut carry_next[..g],
                 lanes,
                 tally,
             );
+            acc[span].copy_from_slice(&sum[..g]);
             std::mem::swap(&mut carry, &mut carry_next);
         }
-        (sum, carry)
+        carry
     }
 }
 
@@ -371,7 +377,8 @@ mod tests {
                 }
             }
             let mut tg = GateTally::new();
-            let (sum_g, carry_g) = adder.add_planes_group(&a, &b, g, lanes, &mut tg);
+            let mut sum_g = a.clone();
+            let carry_g = adder.add_planes_group(&mut sum_g, &b, g, lanes, &mut tg);
             // Reference: per-word-column add_planes over the same lanes.
             let mut tw = GateTally::new();
             for w in 0..g {

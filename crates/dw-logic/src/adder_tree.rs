@@ -116,43 +116,49 @@ impl AdderTree {
             .unwrap_or_else(|| vec![0u64; width])
     }
 
-    /// Word-group sibling of [`Self::sum_planes`]: each operand is `width`
-    /// bit planes of `group_words` lane-words, flattened plane-major, over
-    /// `lanes` total lanes. Same pairwise reduction; results and tallies are
-    /// bit-identical to [`Self::sum_planes`] applied per word column.
+    /// Word-group sibling of [`Self::sum_planes`], reducing in place: `planes`
+    /// holds the operands back to back, each `width` bit planes of
+    /// `group_words` lane-words flattened plane-major, over `lanes` total
+    /// lanes. Operand `i` absorbs operand `i + stride` at strides 1, 2, 4, …,
+    /// which is exactly the pairwise level order of [`Self::sum_planes`], so
+    /// the sum left in the first operand and the tallies are bit-identical
+    /// to [`Self::sum_planes`] applied per word column. Carries live on the
+    /// stack; nothing is allocated.
     ///
     /// # Panics
     ///
-    /// Panics if any operand is not `width * group_words` words long.
+    /// Panics if `planes` is not a whole number of `width * group_words`
+    /// operands, or `group_words` exceeds [`rm_core::wide::GROUP_WORDS`].
     pub fn sum_planes_group(
         &self,
-        operands: &[Vec<u64>],
+        planes: &mut [u64],
         group_words: usize,
         lanes: u64,
         tally: &mut GateTally,
-    ) -> Vec<u64> {
-        let width = self.width as usize;
-        for op in operands {
-            assert_eq!(op.len(), width * group_words, "operand plane-group length");
-        }
+    ) {
+        let op = self.width as usize * group_words;
+        assert!(
+            op > 0 && planes.len().is_multiple_of(op),
+            "operand plane-group length"
+        );
         let adder = RippleCarryAdder::new(self.width);
-        let mut level: Vec<Vec<u64>> = operands.to_vec();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if let [a, b] = pair {
-                    let (s, _carry) = adder.add_planes_group(a, b, group_words, lanes, tally);
-                    next.push(s);
-                } else {
-                    next.push(pair[0].clone());
-                }
+        let n = planes.len() / op;
+        let mut stride = 1;
+        while stride < n {
+            let mut i = 0;
+            while i + stride < n {
+                let (lo, hi) = planes.split_at_mut((i + stride) * op);
+                adder.add_planes_group(
+                    &mut lo[i * op..(i + 1) * op],
+                    &hi[..op],
+                    group_words,
+                    lanes,
+                    tally,
+                );
+                i += 2 * stride;
             }
-            level = next;
+            stride *= 2;
         }
-        level
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| vec![0u64; width * group_words])
     }
 }
 
@@ -243,45 +249,50 @@ mod tests {
     fn sum_planes_group_matches_per_word_sum_planes() {
         let tree = AdderTree::new(12);
         let width = 12usize;
-        for lanes in [1u64, 64, 70, 128, 190] {
-            let g = (lanes as usize).div_ceil(64);
-            let partial = (lanes % 64) as u32;
-            let tail_mask = if partial == 0 {
-                u64::MAX
-            } else {
-                (1u64 << partial) - 1
-            };
-            let operands: Vec<Vec<u64>> = (0..5u64)
-                .map(|op| {
-                    let mut planes = vec![0u64; width * g];
-                    for (i, word) in planes.iter_mut().enumerate() {
-                        *word = (op * 131 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    }
-                    for i in 0..width {
-                        planes[i * g + g - 1] &= tail_mask;
-                    }
-                    planes
-                })
-                .collect();
-            let mut tg = GateTally::new();
-            let sum_g = tree.sum_planes_group(&operands, g, lanes, &mut tg);
-            let mut tw = GateTally::new();
-            for w in 0..g {
-                let wl = (lanes - 64 * w as u64).min(64) as u32;
-                let cols: Vec<Vec<u64>> = operands
-                    .iter()
-                    .map(|op| (0..width).map(|i| op[i * g + w]).collect())
+        // Odd and even operand counts cover every carried-over-operand case
+        // of the pairwise levels.
+        for count in [1u64, 2, 3, 5, 8, 9] {
+            for lanes in [1u64, 64, 70, 128, 190] {
+                let g = (lanes as usize).div_ceil(64);
+                let partial = (lanes % 64) as u32;
+                let tail_mask = if partial == 0 {
+                    u64::MAX
+                } else {
+                    (1u64 << partial) - 1
+                };
+                let operands: Vec<Vec<u64>> = (0..count)
+                    .map(|op| {
+                        let mut planes = vec![0u64; width * g];
+                        for (i, word) in planes.iter_mut().enumerate() {
+                            *word = (op * 131 + i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        }
+                        for i in 0..width {
+                            planes[i * g + g - 1] &= tail_mask;
+                        }
+                        planes
+                    })
                     .collect();
-                let sum_w = tree.sum_planes(&cols, wl, &mut tw);
-                for i in 0..width {
-                    assert_eq!(
-                        sum_g[i * g + w],
-                        sum_w[i],
-                        "plane {i} word {w} at {lanes} lanes"
-                    );
+                let mut tg = GateTally::new();
+                let mut sum_g = operands.concat();
+                tree.sum_planes_group(&mut sum_g, g, lanes, &mut tg);
+                let mut tw = GateTally::new();
+                for w in 0..g {
+                    let wl = (lanes - 64 * w as u64).min(64) as u32;
+                    let cols: Vec<Vec<u64>> = operands
+                        .iter()
+                        .map(|op| (0..width).map(|i| op[i * g + w]).collect())
+                        .collect();
+                    let sum_w = tree.sum_planes(&cols, wl, &mut tw);
+                    for i in 0..width {
+                        assert_eq!(
+                            sum_g[i * g + w],
+                            sum_w[i],
+                            "plane {i} word {w} at {lanes} lanes, {count} operands"
+                        );
+                    }
                 }
+                assert_eq!(tg, tw, "tally at {lanes} lanes, {count} operands");
             }
-            assert_eq!(tg, tw, "tally at {lanes} lanes");
         }
     }
 

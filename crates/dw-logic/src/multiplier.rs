@@ -143,23 +143,25 @@ impl Multiplier {
     /// Panics if `a` and `b` differ in length.
     pub fn multiply_many(&self, a: &[u64], b: &[u64], tally: &mut GateTally) -> Vec<u64> {
         let mut out = Vec::with_capacity(a.len());
-        self.multiply_many_into(a, b, tally, &mut out);
+        self.multiply_many_into(a, b, tally, &mut out, &mut Vec::new());
         out
     }
 
-    /// [`Self::multiply_many`] into a caller-provided buffer: products are
-    /// appended to `out` (callers clear and reuse it across rows so the hot
-    /// loop skips the per-call output allocation). Results and tallies are
-    /// identical to [`Self::multiply_many`].
+    /// [`Self::multiply_many`] into caller-provided buffers: products are
+    /// appended to `out`, and `planes` holds the bit planes of one
+    /// word-group (grown on first use, then reused). A caller that keeps
+    /// both across calls multiplies without allocating. Results and tallies
+    /// are identical to [`Self::multiply_many`].
     ///
-    /// This is the wide path (PR 8): operands are chunked into word-groups
-    /// of up to [`rm_core::wide::GROUP_LANES`] lanes, transposed 64 lanes at
-    /// a time with the word-level [`rm_core::wide::transpose64`] (replacing
-    /// the per-bit gather), and the `width²` AND partial-product gates plus
-    /// the adder tree evaluate whole word-groups per op via the
-    /// `*_words_group` gate kernels. The single-word path is retained as
-    /// [`Self::multiply_many_words_into`]; differential tests prove both
-    /// bit-identical in results and tallies.
+    /// This is the wide path: operands are chunked into word-groups of up
+    /// to [`rm_core::wide::GROUP_LANES`] lanes, transposed 64 lanes at a
+    /// time with the word-level [`rm_core::wide::transpose64`], and the
+    /// `width²` AND partial-product gates plus the adder tree evaluate whole
+    /// word-groups per op via the `*_words_group` gate kernels. Gate tallies
+    /// are per-lane additive and lanes never interact, so one call over
+    /// many lanes equals separate calls over any split of them. The
+    /// single-word path is retained as [`Self::multiply_many_words_into`];
+    /// differential tests prove both bit-identical in results and tallies.
     ///
     /// # Panics
     ///
@@ -170,6 +172,7 @@ impl Multiplier {
         b: &[u64],
         tally: &mut GateTally,
         out: &mut Vec<u64>,
+        planes: &mut Vec<u64>,
     ) {
         assert_eq!(a.len(), b.len(), "operand vectors must pair up");
         let w = self.width as usize;
@@ -184,18 +187,21 @@ impl Multiplier {
             let lanes = ca.len();
             let lanes_u64 = lanes as u64;
             let g = lanes.div_ceil(64);
-            // Forward transpose, one 64-lane word at a time: plane i of word
-            // group column wi lives at planes[i * g + wi].
-            let mut a_planes = vec![0u64; w * g];
-            let mut b_planes = vec![0u64; w * g];
-            for (operand, planes) in [(ca, &mut a_planes), (cb, &mut b_planes)] {
+            // One flat buffer: the `w` partial products (`pw` planes each)
+            // first, then the operand planes. Plane i of word column wi
+            // lives at `i * g + wi` within its operand.
+            planes.clear();
+            planes.resize(w * pw * g + 2 * w * g, 0);
+            let (pps, operand_planes) = planes.split_at_mut(w * pw * g);
+            let (a_planes, b_planes) = operand_planes.split_at_mut(w * g);
+            for (operand, op_planes) in [(ca, &mut *a_planes), (cb, &mut *b_planes)] {
                 for (wi, sub) in operand.chunks(64).enumerate() {
                     buf.fill(0);
                     for (l, &v) in sub.iter().enumerate() {
                         buf[l] = v & mask;
                     }
                     transpose64(&mut buf);
-                    for (i, chunk) in planes.chunks_mut(g).enumerate() {
+                    for (i, chunk) in op_planes.chunks_mut(g).enumerate() {
                         chunk[wi] = buf[i];
                     }
                 }
@@ -203,27 +209,23 @@ impl Multiplier {
             // Partial product i = (a AND b_i) << i in plane-group form: its
             // plane i+j is the AND of a's plane j with bit i of b, evaluated
             // over the whole word-group at once.
-            let pps: Vec<Vec<u64>> = (0..w)
-                .map(|i| {
-                    let mut planes = vec![0u64; pw * g];
-                    for j in 0..w {
-                        and_words_group(
-                            &a_planes[j * g..(j + 1) * g],
-                            &b_planes[i * g..(i + 1) * g],
-                            &mut planes[(i + j) * g..(i + j + 1) * g],
-                            lanes_u64,
-                            tally,
-                        );
-                    }
-                    planes
-                })
-                .collect();
-            let product_planes = self.tree.sum_planes_group(&pps, g, lanes_u64, tally);
+            for (i, pp) in pps.chunks_mut(pw * g).enumerate() {
+                for j in 0..w {
+                    and_words_group(
+                        &a_planes[j * g..(j + 1) * g],
+                        &b_planes[i * g..(i + 1) * g],
+                        &mut pp[(i + j) * g..(i + j + 1) * g],
+                        lanes_u64,
+                        tally,
+                    );
+                }
+            }
+            self.tree.sum_planes_group(pps, g, lanes_u64, tally);
             // Back-transpose each word column and gather the live lanes.
             for wi in 0..g {
                 buf.fill(0);
                 for j in 0..pw {
-                    buf[j] = product_planes[j * g + wi];
+                    buf[j] = pps[j * g + wi];
                 }
                 transpose64(&mut buf);
                 let sub_lanes = (lanes - wi * 64).min(64);
@@ -364,7 +366,7 @@ mod tests {
             let b: Vec<u64> = (0..n as u64).map(|i| (i * 91 + 13) % 256).collect();
             let mut tg = GateTally::new();
             let mut wide = Vec::new();
-            m.multiply_many_into(&a, &b, &mut tg, &mut wide);
+            m.multiply_many_into(&a, &b, &mut tg, &mut wide, &mut Vec::new());
             let mut tw = GateTally::new();
             let mut word = Vec::new();
             m.multiply_many_words_into(&a, &b, &mut tw, &mut word);

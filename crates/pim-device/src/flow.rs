@@ -21,26 +21,31 @@ use crate::device::Parallelism;
 use crate::error::PimError;
 use crate::Result;
 use rm_bus::{Delivery, SegmentedBus};
-use rm_core::{BufferProbe, Probe, ShiftFaultModel, Subarray, WearTracker};
+use rm_core::{BufferProbe, PackedBits, Probe, ShiftFaultModel, Subarray, WearTracker};
 use rm_proc::{ProcScratch, RmProcessor};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Bus segments in the functional in-subarray buses.
 const BUS_SEGMENTS: usize = 8;
 
-/// Reusable buffers for the hot streaming loops of [`SubarrayFlow`]. Owned
-/// by each flow instance so repeated dots — and the per-lane shards of
-/// [`DeviceFlow`] — allocate nothing per row.
+/// Reusable buffers for the streaming legs and the processor pass of
+/// [`SubarrayFlow`]. Every buffer starts empty and grows on first use, so
+/// construction allocates nothing here, and repeated dots — and the per-lane
+/// shards of [`DeviceFlow`] — allocate nothing per row.
 #[derive(Debug, Clone, Default)]
 struct FlowScratch {
     proc: ProcScratch,
     deliveries: Vec<Delivery>,
-    pending: VecDeque<u64>,
-    a_bytes: Vec<u8>,
-    b_bytes: Vec<u8>,
-    a_words: Vec<u64>,
-    b_words: Vec<u64>,
+    /// Bus words of the leg in flight.
+    words: Vec<u64>,
+    /// Operand elements as they arrive at the processor tap, every dot of a
+    /// batch back to back.
+    a: Vec<u64>,
+    b: Vec<u64>,
+    /// Each dot's realized shift count in the last batch.
+    shift_deltas: Vec<u64>,
+    /// A returning result word as the row plane it shifts into.
+    row: PackedBits,
 }
 
 /// A functional PIM subarray: mats + buses + processor.
@@ -68,6 +73,8 @@ pub struct SubarrayFlow {
     /// Row reads/writes performed by the host load phase (excluded from the
     /// conversion-free guarantee).
     loads: u64,
+    /// Zero-padded last row of a host load that does not fill it.
+    pad: Vec<u8>,
     scratch: FlowScratch,
 }
 
@@ -85,6 +92,7 @@ impl SubarrayFlow {
             to_proc: SegmentedBus::new(BUS_SEGMENTS),
             from_proc: SegmentedBus::new(BUS_SEGMENTS),
             loads: 0,
+            pad: Vec::new(),
             scratch: FlowScratch::default(),
         })
     }
@@ -108,9 +116,14 @@ impl SubarrayFlow {
     pub fn load_vector(&mut self, row: usize, data: &[u8]) -> Result<()> {
         let epr = self.elements_per_row();
         for (i, chunk) in data.chunks(epr).enumerate() {
-            let mut padded = vec![0u8; epr];
-            padded[..chunk.len()].copy_from_slice(chunk);
-            self.subarray.write_row(row + i, &padded)?;
+            if chunk.len() == epr {
+                self.subarray.write_row(row + i, chunk)?;
+            } else {
+                self.pad.clear();
+                self.pad.extend_from_slice(chunk);
+                self.pad.resize(epr, 0);
+                self.subarray.write_row(row + i, &self.pad)?;
+            }
             self.loads += 1;
         }
         Ok(())
@@ -133,97 +146,126 @@ impl SubarrayFlow {
         Ok(out)
     }
 
-    /// Streams `rows` rows starting at `row` onto the to-processor bus via
-    /// the non-destructive transfer-track path, appending the delivered
-    /// words at the processor tap to `out` (Figure 13 steps ① and ②). The
-    /// `pending`/`deliveries` buffers are caller scratch, cleared here.
-    fn stream_to_processor_into(
+    /// Streams the `len` elements stored from `row` on over the
+    /// to-processor bus via the non-destructive transfer-track path,
+    /// appending the elements delivered at the processor tap to `out`
+    /// (Figure 13 steps ① and ②).
+    fn stream_to_processor(
         &mut self,
         row: usize,
-        n_rows: usize,
-        pending: &mut VecDeque<u64>,
+        len: usize,
+        words: &mut Vec<u64>,
         deliveries: &mut Vec<Delivery>,
-        out: &mut Vec<u8>,
+        out: &mut Vec<u64>,
     ) -> Result<()> {
-        pending.clear();
-        for i in 0..n_rows {
-            let (mat, local) = self.subarray.locate_row(row + i)?;
-            let mat_ref = self.subarray.mat_mut(mat)?;
-            // Non-destructive read: fan-out copy, then shift the replica out.
-            // The packed row's first backing word IS the bus word (LSB-first
-            // lanes match `pack`'s little-endian byte layout).
-            mat_ref.copy_row_to_transfer(local)?;
-            let packed = mat_ref.shift_out_transfer_row_packed(local)?;
-            pending.push_back(packed.words().first().copied().unwrap_or(0));
-        }
-        // Pipelined injection: one data segment per couple, empty gaps kept.
         let epr = self.elements_per_row();
-        let target = out.len() + n_rows * epr;
-        let mut guard = 0;
-        while out.len() < target {
-            if let Some(&word) = pending.front() {
-                if self.to_proc.try_inject(0, word, BUS_SEGMENTS - 1) {
-                    pending.pop_front();
-                }
-            }
-            deliveries.clear();
-            self.to_proc.cycle_into(deliveries);
-            for delivery in &*deliveries {
-                let data = delivery.packet.data;
-                out.extend((0..epr.min(8)).map(|i| (data >> (8 * i)) as u8));
-            }
-            guard += 1;
-            if guard > 10_000 {
-                return Err(PimError::Config("bus failed to drain".into()));
-            }
+        words.clear();
+        for i in 0..len.div_ceil(epr) {
+            let (mat, local) = self.subarray.locate_row(row + i)?;
+            // Non-destructive read: fan-out copy, then shift the replica
+            // out. The row's first backing word IS the bus word (LSB-first
+            // lanes match the little-endian byte layout).
+            words.push(self.subarray.mat_mut(mat)?.transfer_row_word(local)?);
+        }
+        // Pipelined injection, one data segment per couple with the empty
+        // gaps kept: the bus starts empty, so this is the closed-form stream.
+        deliveries.clear();
+        self.to_proc
+            .stream_words_into(0, BUS_SEGMENTS - 1, words, deliveries);
+        let bytes = deliveries
+            .iter()
+            .flat_map(|d| d.packet.data.to_le_bytes().into_iter().take(epr.min(8)));
+        out.extend(bytes.take(len).map(u64::from));
+        Ok(())
+    }
+
+    /// Returns `result` (32-bit, little-endian) to `dst_row` over the
+    /// return bus (Figure 13 steps ④ and ⑤): words shift in, no write
+    /// operations. `row` is scratch for the arriving plane.
+    fn stream_from_processor(
+        &mut self,
+        dst_row: usize,
+        result: u64,
+        words: &mut Vec<u64>,
+        deliveries: &mut Vec<Delivery>,
+        row: &mut PackedBits,
+    ) -> Result<()> {
+        let epr = self.elements_per_row();
+        words.clear();
+        words.extend((result as u32).to_le_bytes().chunks(epr).map(pack));
+        deliveries.clear();
+        self.from_proc
+            .stream_words_into(0, BUS_SEGMENTS - 1, words, deliveries);
+        if row.len() != epr * 8 {
+            *row = PackedBits::new(epr * 8);
+        }
+        for (i, delivery) in deliveries.iter().enumerate() {
+            row.insert_word(0, row.len().min(64), delivery.packet.data);
+            let (mat, local) = self.subarray.locate_row(dst_row + i)?;
+            self.subarray
+                .mat_mut(mat)?
+                .shift_in_row_packed(local, row)?;
         }
         Ok(())
     }
 
-    /// Returns the result vector to `dst_row` over the return bus
-    /// (Figure 13 steps ④ and ⑤): words shift in, no write operations.
-    fn stream_from_processor(
+    /// Runs `dots` dot products of `len` elements through the PIM path in
+    /// one processor pass. For each dot `j` in order, `load(self, j)`
+    /// host-loads its operands and the A and B vectors at `a_row`/`b_row`
+    /// stream to the processor; the processor then evaluates every product
+    /// of every dot at once; and the results return one by one, in dot
+    /// order, to `dst_row`. Results land in the scratch's processor results
+    /// and each dot's shift count — its two operand legs plus its return
+    /// leg, exactly what a separate dot shifts — in `shift_deltas`.
+    ///
+    /// Batching changes nothing observable: the mats see the same loads and
+    /// row moves in the same order (returns only shift into `dst_row`,
+    /// which no operand leg reads), each bus leg starts on an empty bus, and
+    /// the processor's batch is identical to separate dots in results,
+    /// tallies, unit state and probe records.
+    #[allow(clippy::too_many_arguments)]
+    fn dot_batch(
         &mut self,
+        a_row: usize,
+        b_row: usize,
+        len: usize,
         dst_row: usize,
-        bytes: &[u8],
-        deliveries: &mut Vec<Delivery>,
+        dots: usize,
+        mut load: impl FnMut(&mut Self, usize) -> Result<()>,
+        probe: &dyn Probe,
+        prefix: &str,
     ) -> Result<()> {
-        let epr = self.elements_per_row();
-        let mut chunks: std::collections::VecDeque<(usize, u64)> = bytes
-            .chunks(epr)
-            .enumerate()
-            .map(|(i, c)| {
-                let mut padded = vec![0u8; epr];
-                padded[..c.len()].copy_from_slice(c);
-                (i, pack(&padded))
-            })
-            .collect();
-        let mut arrived = 0;
-        let total = chunks.len().max(1);
-        let mut guard = 0;
-        while arrived < total && !(chunks.is_empty() && self.from_proc.is_empty()) {
-            if let Some(&(_, word)) = chunks.front() {
-                if self.from_proc.try_inject(0, word, BUS_SEGMENTS - 1) {
-                    chunks.pop_front();
-                }
+        let mut s = std::mem::take(&mut self.scratch);
+        let result = (|| {
+            s.a.clear();
+            s.b.clear();
+            s.shift_deltas.clear();
+            for j in 0..dots {
+                load(self, j)?;
+                let before = self.shifts();
+                self.stream_to_processor(a_row, len, &mut s.words, &mut s.deliveries, &mut s.a)?;
+                self.stream_to_processor(b_row, len, &mut s.words, &mut s.deliveries, &mut s.b)?;
+                s.shift_deltas.push(self.shifts() - before);
             }
-            deliveries.clear();
-            self.from_proc.cycle_into(deliveries);
-            for delivery in &*deliveries {
-                let data = unpack(delivery.packet.data, epr);
-                let packed = rm_core::PackedBits::from_bytes_lsb(&data, epr * 8);
-                let (mat, local) = self.subarray.locate_row(dst_row + arrived)?;
-                self.subarray
-                    .mat_mut(mat)?
-                    .shift_in_row_packed(local, &packed)?;
-                arrived += 1;
+            // Figure 13 step ③: the RM processor pipeline, all dots at once.
+            self.processor
+                .dot_batch_probed_with(&s.a, &s.b, dots, probe, prefix, &mut s.proc);
+            for j in 0..dots {
+                let before = self.shifts();
+                let value = s.proc.results()[j];
+                self.stream_from_processor(
+                    dst_row,
+                    value,
+                    &mut s.words,
+                    &mut s.deliveries,
+                    &mut s.row,
+                )?;
+                s.shift_deltas[j] += self.shifts() - before;
             }
-            guard += 1;
-            if guard > 10_000 {
-                return Err(PimError::Config("return bus failed to drain".into()));
-            }
-        }
-        Ok(())
+            Ok(())
+        })();
+        self.scratch = s;
+        result
     }
 
     /// Executes a dot product entirely through the PIM path: operand
@@ -256,41 +298,8 @@ impl SubarrayFlow {
         probe: &dyn Probe,
         prefix: &str,
     ) -> Result<u64> {
-        let epr = self.elements_per_row();
-        let n_rows = len.div_ceil(epr);
-        let mut s = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            s.a_bytes.clear();
-            self.stream_to_processor_into(
-                a_row,
-                n_rows,
-                &mut s.pending,
-                &mut s.deliveries,
-                &mut s.a_bytes,
-            )?;
-            s.b_bytes.clear();
-            self.stream_to_processor_into(
-                b_row,
-                n_rows,
-                &mut s.pending,
-                &mut s.deliveries,
-                &mut s.b_bytes,
-            )?;
-            s.a_words.clear();
-            s.a_words
-                .extend(s.a_bytes.iter().take(len).map(|&x| x as u64));
-            s.b_words.clear();
-            s.b_words
-                .extend(s.b_bytes.iter().take(len).map(|&x| x as u64));
-            // Figure 13 step ③: the RM processor pipeline.
-            let (result, _tally) =
-                self.processor
-                    .dot_probed_with(&s.a_words, &s.b_words, probe, prefix, &mut s.proc);
-            self.stream_from_processor(dst_row, &(result as u32).to_le_bytes(), &mut s.deliveries)?;
-            Ok(result)
-        })();
-        self.scratch = s;
-        result
+        self.dot_batch(a_row, b_row, len, dst_row, 1, |_, _| Ok(()), probe, prefix)?;
+        Ok(self.scratch.proc.results()[0])
     }
 
     /// Row read/write operations performed *after* the host load — the
@@ -328,28 +337,34 @@ struct Lane {
 }
 
 impl Lane {
-    /// Records one row's realized shift delta (and the fault draw it fed,
-    /// if a model is attached) into the health tracker. The wire identity
-    /// is the output row: on this reduced geometry each output row is
-    /// backed by a fixed set of nanowires, so per-row wear is the
+    /// Feeds each dot of the last batch, in dot order, to the fault overlay
+    /// and the health tracker: the dot's realized shift total takes one
+    /// deterministic fault draw (an observational reliability overlay: the
+    /// per-lane streams are seeded, so tallies are identical at any worker
+    /// count), and its shifts are recorded against output row `row`. The
+    /// wire identity is the output row: on this reduced geometry each output
+    /// row is backed by a fixed set of nanowires, so per-row wear is the
     /// per-nanowire wear proxy.
-    fn observe_row(&self, lane_idx: usize, row: usize, shift_delta: u64) {
-        if let Some(health) = &self.health {
-            // Each counted shift on this path is a single-domain step, so
-            // the travelled distance equals the shift count.
-            health.record_activity(lane_idx as u32, shift_delta, shift_delta, 0.0);
-            health.record_wire_shifts(lane_idx as u32, row as u32, shift_delta);
+    fn observe_dots(&mut self, lane_idx: usize, row: usize) {
+        let (lane, wire) = (lane_idx as u32, row as u32);
+        for &shift_delta in &self.flow.scratch.shift_deltas {
+            if let Some(fm) = &mut self.faults {
+                let outcome = fm.sample(shift_delta as usize);
+                if let Some(health) = &self.health {
+                    health.record_fault(lane, wire, outcome);
+                }
+            }
+            if let Some(health) = &self.health {
+                // Each counted shift on this path is a single-domain step,
+                // so the travelled distance equals the shift count.
+                health.record_activity(lane, shift_delta, shift_delta, 0.0);
+                health.record_wire_shifts(lane, wire, shift_delta);
+            }
         }
     }
-}
 
-impl Lane {
     /// Computes every output row assigned to lane `lane_idx` (round-robin
-    /// stride `n_lanes`) of `y = A·x`, returning `(row, value)` pairs in row
-    /// order. With a fault model attached, each row's realized shift total
-    /// feeds one deterministic fault draw (an observational reliability
-    /// overlay: the per-lane streams are seeded, so tallies are identical at
-    /// any worker count).
+    /// stride `n_lanes`) of `y = A·x`, returning the values in row order.
     #[allow(clippy::too_many_arguments)]
     fn gemv_rows(
         &mut self,
@@ -361,34 +376,32 @@ impl Lane {
         n_lanes: usize,
         probe: &dyn Probe,
         prefix: &str,
-    ) -> Result<Vec<(usize, u64)>> {
+    ) -> Result<Vec<u64>> {
         self.flow.load_vector(LANE_B_ROW, x)?;
-        let mut out = Vec::new();
-        let mut row = lane_idx;
-        while row < m {
+        let mut values = Vec::with_capacity(m.saturating_sub(lane_idx).div_ceil(n_lanes));
+        for row in (lane_idx..m).step_by(n_lanes) {
             self.flow
                 .load_vector(LANE_A_ROW, &a[row * k..(row + 1) * k])?;
-            let before = self.flow.shifts();
-            let value =
-                self.flow
-                    .dot_probed(LANE_A_ROW, LANE_B_ROW, k, LANE_DST_ROW, probe, prefix)?;
-            let shift_delta = self.flow.shifts() - before;
-            if let Some(fm) = &mut self.faults {
-                let outcome = fm.sample(shift_delta as usize);
-                if let Some(health) = &self.health {
-                    health.record_fault(lane_idx as u32, row as u32, outcome);
-                }
-            }
-            self.observe_row(lane_idx, row, shift_delta);
-            out.push((row, value));
-            row += n_lanes;
+            self.flow.dot_batch(
+                LANE_A_ROW,
+                LANE_B_ROW,
+                k,
+                LANE_DST_ROW,
+                1,
+                |_, _| Ok(()),
+                probe,
+                prefix,
+            )?;
+            self.observe_dots(lane_idx, row);
+            values.push(self.flow.scratch.proc.results()[0]);
         }
-        Ok(out)
+        Ok(values)
     }
 
     /// Computes every output row assigned to this lane of `C = A·B`
-    /// (`C[m,n]`, round-robin over output rows), returning
-    /// `(row, values[n])` pairs in row order.
+    /// (`C[m,n]`, round-robin over output rows), returning the rows' values
+    /// back to back in row order. Each output row is one processor pass
+    /// over its `n` dots.
     #[allow(clippy::too_many_arguments)]
     fn gemm_rows(
         &mut self,
@@ -401,37 +414,32 @@ impl Lane {
         n_lanes: usize,
         probe: &dyn Probe,
         prefix: &str,
-    ) -> Result<Vec<(usize, Vec<u64>)>> {
-        let mut out = Vec::new();
+    ) -> Result<Vec<u64>> {
+        let mut values = Vec::with_capacity(m.saturating_sub(lane_idx).div_ceil(n_lanes) * n);
         let mut col = vec![0u8; k];
-        let mut row = lane_idx;
-        while row < m {
+        for row in (lane_idx..m).step_by(n_lanes) {
             self.flow
                 .load_vector(LANE_A_ROW, &a[row * k..(row + 1) * k])?;
-            let mut values = Vec::with_capacity(n);
-            for j in 0..n {
+            let load_column = |flow: &mut SubarrayFlow, j: usize| {
                 for (i, byte) in col.iter_mut().enumerate() {
                     *byte = b[i * n + j];
                 }
-                self.flow.load_vector(LANE_B_ROW, &col)?;
-                let before = self.flow.shifts();
-                let value =
-                    self.flow
-                        .dot_probed(LANE_A_ROW, LANE_B_ROW, k, LANE_DST_ROW, probe, prefix)?;
-                let shift_delta = self.flow.shifts() - before;
-                if let Some(fm) = &mut self.faults {
-                    let outcome = fm.sample(shift_delta as usize);
-                    if let Some(health) = &self.health {
-                        health.record_fault(lane_idx as u32, row as u32, outcome);
-                    }
-                }
-                self.observe_row(lane_idx, row, shift_delta);
-                values.push(value);
-            }
-            out.push((row, values));
-            row += n_lanes;
+                flow.load_vector(LANE_B_ROW, &col)
+            };
+            self.flow.dot_batch(
+                LANE_A_ROW,
+                LANE_B_ROW,
+                k,
+                LANE_DST_ROW,
+                n,
+                load_column,
+                probe,
+                prefix,
+            )?;
+            self.observe_dots(lane_idx, row);
+            values.extend_from_slice(self.flow.scratch.proc.results());
         }
-        Ok(out)
+        Ok(values)
     }
 }
 
@@ -555,8 +563,8 @@ impl DeviceFlow {
             lane.gemv_rows(a, x, m, k, s, n_lanes, &buffers[s], &lane_prefix(s))
         });
         let mut y = vec![0u64; m];
-        for (buffer, shard) in buffers.iter().zip(shards) {
-            for (row, value) in shard? {
+        for (s, (buffer, shard)) in buffers.iter().zip(shards).enumerate() {
+            for (row, value) in (s..m).step_by(n_lanes).zip(shard?) {
                 y[row] = value;
             }
             buffer.replay(probe);
@@ -589,9 +597,9 @@ impl DeviceFlow {
             lane.gemm_rows(a, b, m, k, n, s, n_lanes, &rm_core::NullProbe, "proc")
         });
         let mut c = vec![0u64; m * n];
-        for shard in shards {
-            for (row, values) in shard? {
-                c[row * n..(row + 1) * n].copy_from_slice(&values);
+        for (s, shard) in shards.into_iter().enumerate() {
+            for (row, values) in (s..m).step_by(n_lanes).zip(shard?.chunks(n)) {
+                c[row * n..(row + 1) * n].copy_from_slice(values);
             }
         }
         Ok(c)
@@ -648,11 +656,6 @@ fn pack(bytes: &[u8]) -> u64 {
         w |= (b as u64) << (8 * i);
     }
     w
-}
-
-/// Unpacks a bus word back into `n` row bytes.
-fn unpack(word: u64, n: usize) -> Vec<u8> {
-    (0..n.min(8)).map(|i| (word >> (8 * i)) as u8).collect()
 }
 
 #[cfg(test)]
@@ -793,9 +796,8 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        let bytes = [0xDE, 0xAD, 0xBE, 0xEF];
-        assert_eq!(unpack(pack(&bytes), 4), bytes);
+    fn pack_lays_bytes_out_little_endian() {
+        assert_eq!(pack(&[0xDE, 0xAD, 0xBE, 0xEF]), 0xEFBE_ADDE);
         assert_eq!(pack(&[]), 0);
     }
 }

@@ -80,21 +80,30 @@ impl PackedBits {
     ///
     /// Panics if `bytes` holds fewer than `len` bits.
     pub fn from_bytes_lsb(bytes: &[u8], len: usize) -> Self {
+        let mut b = PackedBits::new(len);
+        b.set_bytes_lsb(bytes);
+        b
+    }
+
+    /// Overwrites every lane from LSB-first bytes, in place (the
+    /// allocation-free sibling of [`Self::from_bytes_lsb`] at the current
+    /// length). Bytes beyond the lanes are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer bits than there are lanes.
+    pub fn set_bytes_lsb(&mut self, bytes: &[u8]) {
+        let len = self.len;
         assert!(
             bytes.len() * 8 >= len,
             "byte slice too short for {len} lanes"
         );
-        let mut b = PackedBits::new(len);
-        for (w, chunk) in bytes.chunks(8).enumerate() {
-            if w >= b.words.len() {
-                break;
-            }
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            b.words[w] = u64::from_le_bytes(word);
+        for (word, chunk) in self.words.iter_mut().zip(bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *word = u64::from_le_bytes(le);
         }
-        b.mask_tail();
-        b
+        self.mask_tail();
     }
 
     /// Number of lanes.

@@ -320,7 +320,7 @@ impl Mat {
             writes: 1,
             ..OpCounters::default()
         });
-        self.save.planes[row] = PackedBits::from_bytes_lsb(data, self.save.tracks);
+        self.save.planes[row].set_bytes_lsb(data);
         Ok(())
     }
 
@@ -344,7 +344,7 @@ impl Mat {
             writes: 1,
             ..OpCounters::default()
         });
-        self.save.planes[row] = data.clone();
+        self.save.planes[row].copy_range_from(0, data, 0, data.len());
         Ok(())
     }
 
@@ -449,6 +449,38 @@ impl Mat {
         }
     }
 
+    /// [`Self::copy_row_to_transfer`] followed by
+    /// [`Self::shift_out_transfer_row_packed`] in one call, returning the
+    /// replica's first backing word: lanes 0..64, LSB-first, which is the
+    /// whole row — and its bus word — when the mat has at most 64 save
+    /// tracks. Counters, probe samples, errors and the state left on the
+    /// tracks are those of the two calls; the word moves without an
+    /// intermediate plane.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::copy_row_to_transfer`].
+    pub fn transfer_row_word(&mut self, row: usize) -> Result<u64> {
+        if self.transfer.tracks < self.save.tracks {
+            // Overflow chunks spread over several transfer rows.
+            self.copy_row_to_transfer(row)?;
+            return Ok(self.shift_out_transfer_row_packed(row)?.words()[0]);
+        }
+        self.check_row(row)?;
+        // One shift fans the row out, one shifts the replica off.
+        for _ in 0..2 {
+            self.counters.shifts += 1;
+            self.counters.shift_distance += 1;
+            self.probe_ops(|| OpCounters {
+                shifts: 1,
+                shift_distance: 1,
+                ..OpCounters::default()
+            });
+        }
+        self.transfer.planes[row].fill_range(0, self.save.tracks, false);
+        Ok(self.save.planes[row].words()[0])
+    }
+
     /// Destructively shifts `row` straight off the save tracks (used when
     /// the data is genuinely being *moved*, e.g. operand consumption).
     ///
@@ -498,7 +530,7 @@ impl Mat {
             shift_distance: 1,
             ..OpCounters::default()
         });
-        self.save.planes[row] = PackedBits::from_bytes_lsb(data, self.save.tracks);
+        self.save.planes[row].set_bytes_lsb(data);
         Ok(())
     }
 
@@ -523,7 +555,7 @@ impl Mat {
             shift_distance: 1,
             ..OpCounters::default()
         });
-        self.save.planes[row] = data.clone();
+        self.save.planes[row].copy_range_from(0, data, 0, data.len());
         Ok(())
     }
 
@@ -606,6 +638,56 @@ mod tests {
         // Save tracks untouched, and the path performed no write ops.
         assert_eq!(m.read_row(3).unwrap(), vec![0xDE, 0xAD]);
         assert_eq!(m.counters().writes, writes_before);
+    }
+
+    #[test]
+    fn transfer_row_word_equals_copy_then_shift_out() {
+        use crate::probe::{Probe, ProbeAttachment, ProbeSample};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Debug, Default)]
+        struct LogProbe(Mutex<Vec<ProbeSample>>);
+        impl Probe for LogProbe {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn record(&self, _path: &str, sample: ProbeSample) {
+                self.0.lock().unwrap().push(sample);
+            }
+        }
+
+        // Full transfer tracks and the overflow layout with fewer.
+        for transfer_tracks in [16, 4] {
+            let fresh = || {
+                let mut m = Mat::new(16, transfer_tracks, 64, 4);
+                m.write_row(10, &[0xC3, 0x5A]).unwrap();
+                m.write_row(11, &[0x0F, 0xF0]).unwrap();
+                m
+            };
+            let (word_probe, pair_probe) =
+                (Arc::new(LogProbe::default()), Arc::new(LogProbe::default()));
+            let mut word = fresh();
+            word.attach_probe(ProbeAttachment::new(word_probe.clone(), "m"));
+            let mut pair = fresh();
+            pair.attach_probe(ProbeAttachment::new(pair_probe.clone(), "m"));
+            for row in [10, 11, 10] {
+                let got = word.transfer_row_word(row).unwrap();
+                pair.copy_row_to_transfer(row).unwrap();
+                let expect = pair.shift_out_transfer_row_packed(row).unwrap();
+                assert_eq!(got, expect.words()[0], "{transfer_tracks} transfer tracks");
+            }
+            assert_eq!(word.counters(), pair.counters());
+            assert_eq!(*word_probe.0.lock().unwrap(), *pair_probe.0.lock().unwrap());
+            for row in 0..64 {
+                assert_eq!(
+                    word.shift_out_transfer_row(row).unwrap(),
+                    pair.shift_out_transfer_row(row).unwrap(),
+                    "transfer row {row} left identical"
+                );
+            }
+            assert!(word.transfer_row_word(64).is_err());
+        }
+        assert!(Mat::new(8, 0, 32, 2).transfer_row_word(0).is_err());
     }
 
     #[test]

@@ -196,7 +196,14 @@ impl Subarray {
     pub fn write_row(&mut self, row: usize, data: &[u8]) -> Result<()> {
         let (mat, local) = self.locate_row(row)?;
         self.mats[mat].write_row(local, data)?;
-        self.row_buffer = Some((mat, local, data.to_vec()));
+        match &mut self.row_buffer {
+            Some((bm, br, buf)) if buf.len() == data.len() => {
+                *bm = mat;
+                *br = local;
+                buf.copy_from_slice(data);
+            }
+            slot => *slot = Some((mat, local, data.to_vec())),
+        }
         Ok(())
     }
 

@@ -5,9 +5,11 @@
 //! [`GROUP_WORDS`] words (512 lanes). Each kernel has two implementations:
 //!
 //! * an **x86_64 AVX2 path** (`std::arch` 256-bit loads, four lane-words per
-//!   vector op) selected at runtime via `is_x86_feature_detected!`, and
+//!   vector op) selected at runtime via `is_x86_feature_detected!` for
+//!   slices of at least four words, and
 //! * a **portable fallback** with manually unrolled 4x word loops that the
-//!   compiler auto-vectorizes on any target.
+//!   compiler auto-vectorizes on any target. Slices shorter than one vector
+//!   always take it inline: the AVX2 body would only run its scalar tail.
 //!
 //! Setting the environment variable `STREAMPIM_WIDE_PORTABLE` (to any
 //! non-empty value other than `0`) forces the portable path — CI uses this to
@@ -81,8 +83,10 @@ macro_rules! define_binop {
                 a.len() == b.len() && a.len() == out.len(),
                 "word-group slices must have equal length"
             );
+            // Under four words the AVX2 body never runs a vector op, so the
+            // inlined portable loop skips a non-inlinable call.
             #[cfg(target_arch = "x86_64")]
-            if avx2_active() {
+            if a.len() >= 4 && avx2_active() {
                 // SAFETY: AVX2 availability was checked at runtime.
                 unsafe { $avx2(a, b, out) };
                 return;
@@ -224,7 +228,7 @@ pub fn not_into(a: &[u64], out: &mut [u64]) {
         "word-group slices must have equal length"
     );
     #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
+    if a.len() >= 4 && avx2_active() {
         // SAFETY: AVX2 availability was checked at runtime.
         unsafe { not_avx2(a, out) };
         return;
@@ -287,7 +291,7 @@ pub fn full_adder_into(a: &[u64], b: &[u64], cin: &[u64], sum: &mut [u64], carry
         "word-group slices must have equal length"
     );
     #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
+    if a.len() >= 4 && avx2_active() {
         // SAFETY: AVX2 availability was checked at runtime.
         unsafe { full_adder_avx2(a, b, cin, sum, carry) };
         return;

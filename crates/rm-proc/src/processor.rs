@@ -15,20 +15,29 @@ use dw_logic::multiplier::Multiplier;
 
 /// Caller-provided scratch for the processor's vector hot paths.
 ///
-/// Holds the intermediate product stream of [`RmProcessor::dot_with`] so a
-/// caller looping over many rows (or a shard of a parallel run) reuses one
-/// buffer instead of allocating per call. Scratch lives *outside* the
-/// processor on purpose: differential tests compare whole processors with
-/// `==`, and transient buffers must not participate in that state.
+/// Holds the intermediate product stream, the multiplier's bit planes and
+/// the per-dot results of [`RmProcessor::dot_batch_probed_with`], so a
+/// caller looping over many rows (or a shard of a parallel run) reuses its
+/// buffers instead of allocating per call. The buffers start empty and grow
+/// on first use. Scratch lives *outside* the processor on purpose:
+/// differential tests compare whole processors with `==`, and transient
+/// buffers must not participate in that state.
 #[derive(Debug, Clone, Default)]
 pub struct ProcScratch {
     products: Vec<u64>,
+    planes: Vec<u64>,
+    results: Vec<u64>,
 }
 
 impl ProcScratch {
     /// An empty scratch buffer.
     pub fn new() -> Self {
         ProcScratch::default()
+    }
+
+    /// The results of the last batched dot, one per dot in order.
+    pub fn results(&self) -> &[u64] {
+        &self.results
     }
 }
 
@@ -158,7 +167,8 @@ impl RmProcessor {
     }
 
     /// [`Self::dot_probed`] with caller-provided scratch (see
-    /// [`Self::dot_with`]).
+    /// [`Self::dot_with`]): the one-dot case of
+    /// [`Self::dot_batch_probed_with`].
     ///
     /// # Panics
     ///
@@ -171,29 +181,79 @@ impl RmProcessor {
         prefix: &str,
         scratch: &mut ProcScratch,
     ) -> (u64, GateTally) {
+        let tally = self.dot_batch_probed_with(a, b, 1, probe, prefix, scratch);
+        (scratch.results[0], tally)
+    }
+
+    /// `dots` dot products in one pass through the datapath. `a` and `b`
+    /// each hold `dots` equal segments back to back; segment `d` of `a`
+    /// pairs with segment `d` of `b`. Every product of every dot goes
+    /// through the multiplier in one call, so its word-groups fill up
+    /// instead of carrying one short segment each. The duplicator bank and
+    /// the circle adder then run dot by dot: reset, replicate, accumulate
+    /// the segment's products, yield the result. The results land in
+    /// [`ProcScratch::results`] in dot order.
+    ///
+    /// Results, the returned tally (the sum over all dots) and unit state
+    /// are identical to `dots` separate [`Self::dot_probed`] calls, and so
+    /// is the probe record sequence: three stage records per dot, in dot
+    /// order. This holds because the gate tallies are per-lane additive
+    /// and data independent, and lanes never interact, so each dot's share
+    /// of the multiplier tally is exactly `1/dots` of the batch's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths, `dots` is zero, or the
+    /// length is not a multiple of `dots`.
+    pub fn dot_batch_probed_with(
+        &mut self,
+        a: &[u64],
+        b: &[u64],
+        dots: usize,
+        probe: &dyn rm_core::Probe,
+        prefix: &str,
+        scratch: &mut ProcScratch,
+    ) -> GateTally {
         assert_eq!(a.len(), b.len(), "dot product needs equal-length vectors");
+        assert!(
+            dots > 0 && a.len().is_multiple_of(dots),
+            "a batch of {dots} dots needs equal segments, got {} elements",
+            a.len()
+        );
+        let segment = a.len() / dots;
+        // Stages 2b-3 for every dot at once: plane-form partial products and
+        // adder tree, up to a full word-group per gate op. Operands are
+        // masked inside the transpose.
         let mut tally = GateTally::new();
-        self.circle.reset();
-        // Stage 2a: one replicate call per element, accounted in bulk.
-        self.duplicators
-            .replicate_bulk(self.width as usize, a.len() as u64, &mut tally);
-        let after_dup = tally.total();
-        // Stages 2b-3: plane-form partial products and adder tree, 64
-        // elements per gate word. Operands are masked inside the transpose.
         scratch.products.clear();
-        self.multiplier
-            .multiply_many_into(a, b, &mut tally, &mut scratch.products);
-        let after_mul = tally.total();
-        // Stage 4: the circle adder accumulates the product stream.
-        self.circle.accumulate_many(&scratch.products, &mut tally);
-        let after_acc = tally.total();
-        self.ops_executed += 1;
-        if probe.enabled() {
-            record_stage(probe, prefix, "duplicator", after_dup);
-            record_stage(probe, prefix, "multiplier", after_mul - after_dup);
-            record_stage(probe, prefix, "adder_tree", after_acc - after_mul);
+        self.multiplier.multiply_many_into(
+            a,
+            b,
+            &mut tally,
+            &mut scratch.products,
+            &mut scratch.planes,
+        );
+        let multiplier_per_dot = tally.total() / dots as u64;
+        scratch.results.clear();
+        for products in (0..dots).map(|d| &scratch.products[d * segment..(d + 1) * segment]) {
+            let mut dot = GateTally::new();
+            self.circle.reset();
+            // Stage 2a: one replicate call per element, accounted in bulk.
+            self.duplicators
+                .replicate_bulk(self.width as usize, segment as u64, &mut dot);
+            let duplicator = dot.total();
+            // Stage 4: the circle adder accumulates the product stream.
+            self.circle.accumulate_many(products, &mut dot);
+            self.ops_executed += 1;
+            if probe.enabled() {
+                record_stage(probe, prefix, "duplicator", duplicator);
+                record_stage(probe, prefix, "multiplier", multiplier_per_dot);
+                record_stage(probe, prefix, "adder_tree", dot.total() - duplicator);
+            }
+            scratch.results.push(self.circle.take_result());
+            tally += dot;
         }
-        (self.circle.take_result(), tally)
+        tally
     }
 
     /// Single-word reference datapath for [`Self::dot`]: same bulk staging,
@@ -527,6 +587,39 @@ mod tests {
             assert_eq!((rw, tw), (rp, tp));
         }
         assert_eq!(with, plain, "scratch must stay out of processor state");
+    }
+
+    #[test]
+    fn batched_dots_match_separate_dots_in_results_state_tally_and_probe() {
+        // 32 dots of 32 elements fill two 512-lane word-groups; 3 dots of
+        // 7 leave a ragged single group.
+        for (dots, segment) in [(32usize, 32usize), (3, 7), (1, 0)] {
+            let a: Vec<u64> = (0..dots * segment).map(|i| (i * 37 % 256) as u64).collect();
+            let b: Vec<u64> = (0..dots * segment).map(|i| (i * 91 + 13) as u64).collect();
+            let batch_probe = rm_core::BufferProbe::new();
+            let mut batched = RmProcessor::new(8, 2);
+            let mut scratch = ProcScratch::new();
+            let tally =
+                batched.dot_batch_probed_with(&a, &b, dots, &batch_probe, "p", &mut scratch);
+            let split_probe = rm_core::BufferProbe::new();
+            let mut split = RmProcessor::new(8, 2);
+            let mut split_tally = GateTally::new();
+            let mut results = Vec::new();
+            for d in 0..dots {
+                let span = d * segment..(d + 1) * segment;
+                let (r, t) = split.dot_probed(&a[span.clone()], &b[span], &split_probe, "p");
+                results.push(r);
+                split_tally += t;
+            }
+            assert_eq!(scratch.results(), results, "{dots}x{segment} results");
+            assert_eq!(tally, split_tally, "{dots}x{segment} tally");
+            assert_eq!(batched, split, "{dots}x{segment} unit state");
+            assert_eq!(
+                batch_probe.take(),
+                split_probe.take(),
+                "{dots}x{segment} probe"
+            );
+        }
     }
 
     #[test]
